@@ -13,14 +13,7 @@ from .core import (
     is_solution,
 )
 from .generator import GeneratorSpec, generate_matrix, generate_planted
-from .linalg import (
-    DiagonalScaling,
-    SingularMatrixError,
-    inf_norm,
-    mat_vec,
-    positive_part,
-    solve_linear,
-)
+from .linalg import DiagonalScaling, inf_norm, positive_part
 from .oracle import OracleResult, certify, enumerate_solutions
 from .residuals import (
     DELTA_CATALOG,
@@ -55,7 +48,6 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "SolverConfig",
-    "SingularMatrixError",
     "ToleranceConfig",
     "ZeroMap",
     "certify",
@@ -69,14 +61,12 @@ __all__ = [
     "generate_planted",
     "inf_norm",
     "is_solution",
-    "mat_vec",
     "natural_residual",
     "positive_part",
     "projection_iterate",
     "residual_norms",
     "s_map",
     "scaled_residual",
-    "solve_linear",
     "solve_with_restarts",
 ]
 __version__ = "0.1.0"

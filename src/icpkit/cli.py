@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import io
 import json
 import math
 import os
@@ -41,7 +43,7 @@ from .core import (
     evaluate_H,
     is_solution,
 )
-from .generator import GeneratorSpec, RNG_STREAM_ID, generate_planted
+from .generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, RNG_STREAM_ID, generate_planted
 from .linalg import DiagonalScaling
 from .oracle import enumerate_solutions
 from .residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
@@ -198,19 +200,17 @@ class ResultRow:
             "wall_ms": self.wall_ms,
         }
 
-    def as_csv_line(self) -> str:
+    def as_csv_fields(self) -> tuple[str, ...]:
         iters = "" if self.iterations is None else str(self.iterations)
-        return ",".join(
-            (
-                self.instance_id,
-                str(self.n),
-                self.formulation,
-                self.point_source,
-                repr(self.residual_inf),
-                "true" if self.is_solution else "false",
-                iters,
-                f"{self.wall_ms:.3f}",
-            )
+        return (
+            self.instance_id,
+            str(self.n),
+            self.formulation,
+            self.point_source,
+            repr(self.residual_inf),
+            "true" if self.is_solution else "false",
+            iters,
+            f"{self.wall_ms:.3f}",
         )
 
 
@@ -220,7 +220,11 @@ def _json_float(x: float):
 
 def write_rows(rows: list[ResultRow], fmt: str, out_path: str) -> None:
     if fmt == "csv":
-        text = "\n".join([",".join(RESULT_COLUMNS)] + [row.as_csv_line() for row in rows]) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(row.as_csv_fields() for row in rows)
+        text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps([row.as_record() for row in rows], indent=2, allow_nan=False) + "\n"
     else:
@@ -563,9 +567,9 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--matrix-family",
         default="diag_dominant",
-        choices=("diag_dominant", "symmetric_pd", "dense"),
+        choices=MATRIX_FAMILIES,
     )
-    parser.add_argument("--f-family", default="zero", choices=("zero", "contractive_affine"))
+    parser.add_argument("--f-family", default="zero", choices=F_FAMILIES)
     parser.add_argument("--gamma", type=float, default=0.5, help="inf-norm bound for the affine part")
     parser.add_argument("--active-fraction", type=float, default=0.5)
 

@@ -17,10 +17,6 @@ import numpy as np
 PIVOT_REL_TOL = 1e-12
 
 
-class SingularMatrixError(ArithmeticError):
-    """Raised when elimination meets a pivot below the singularity threshold."""
-
-
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and return a read-only float64 vector (1-D, finite, len >= 1)."""
     v = np.array(x, dtype=float, copy=True)
@@ -50,15 +46,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 def positive_part(v: np.ndarray) -> np.ndarray:
     """Componentwise max(0, v_i)."""
     return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def mat_vec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with a dimension check."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if a.ndim != 2 or a.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape} times vector {v.shape}")
-    return a @ v
 
 
 def inf_norm(v: np.ndarray) -> float:
@@ -113,22 +100,6 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
         x[:, k] = (b[:, k] - tail) / pivot
     return x, singular
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a single square system; raises SingularMatrixError when rank-deficient."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    x, singular = solve_linear_batch(a[None, :, :], b[None, :])
-    if singular[0]:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_REL_TOL:g} of matrix scale; system is singular"
-        )
-    return x[0]
 
 
 @dataclass(frozen=True)

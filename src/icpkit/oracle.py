@@ -11,6 +11,7 @@ this oracle is used to check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,69 @@ class OracleResult:
     subsets_tested: int
 
 
+class _SolutionIndex:
+    """Stored points bucketed by one scalar key, for the DEDUP_RADIUS lookup.
+
+    The key of x is floor(w.x / width), with fixed positive weights w and
+    width = ||w||_1 * DEDUP_RADIUS.  Two points within DEDUP_RADIUS of each
+    other in the inf-norm have w.x at most one width apart, so their exact
+    keys differ by at most one.  The computed w.x carries a rounding error
+    that grows with |x|; a lookup widens its bucket window by a bound on that
+    error, and scans every stored point instead when that bound exceeds the
+    number of buckets (far from the origin, or for a non-finite x).
+    """
+
+    def __init__(self, n: int):
+        # Random weights in [1, 2] keep the points of integer grids, such as
+        # {0, 1}^n, from sharing buckets.
+        self._w = np.random.default_rng(0).uniform(1.0, 2.0, n)
+        self._width = float(self._w.sum()) * DEDUP_RADIUS
+        # For y within DEDUP_RADIUS of x, rounding in w.x, w.y and the division
+        # moves t(x) - t(y) by at most about (n + 1) u (2 w.|x| / width + 3),
+        # u = eps / 2; reach is twice that, in buckets.
+        self._err = 2.0 * (n + 2) * np.finfo(float).eps
+        self._points = np.empty((16, n))
+        self._buckets: dict[int, list[int]] = {}
+        self._size = 0
+
+    def _key(self, x: np.ndarray) -> tuple[float, float]:
+        """w.x / width, and the bound on its rounding error, in buckets."""
+        t = float(self._w @ x) / self._width
+        reach = self._err * (float(self._w @ np.abs(x)) / self._width + 1.0)
+        return t, reach
+
+    def find(self, x: np.ndarray) -> int | None:
+        """Lowest index of a stored point within DEDUP_RADIUS of x (inf-norm)."""
+        t, reach = self._key(x)
+        if math.isfinite(t) and reach < len(self._buckets):
+            k = math.floor(t)
+            # |t(x) - t(y)| <= 1 + reach, so the keys differ by at most
+            # 1 + ceil(reach) <= 2 + int(reach).
+            m = 2 + int(reach)
+            cand = [i for j in range(k - m, k + m + 1) for i in self._buckets.get(j, ())]
+            if not cand:
+                return None
+            cand = np.array(cand)
+        else:
+            cand = np.arange(self._size)
+        near = np.max(np.abs(self._points[cand] - x), axis=1) <= DEDUP_RADIUS
+        return int(cand[near].min()) if near.any() else None
+
+    def add(self, x: np.ndarray) -> int:
+        """Store x and return its index."""
+        i = self._size
+        if i == len(self._points):
+            self._points = np.concatenate([self._points, np.empty_like(self._points)])
+        self._points[i] = x
+        self._size += 1
+        t, _ = self._key(x)
+        # A non-finite key means |x| near overflow; any query within
+        # DEDUP_RADIUS of x then has an infinite reach and scans every point.
+        if math.isfinite(t):
+            self._buckets.setdefault(math.floor(t), []).append(i)
+        return i
+
+
 def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:
     parts = inst.f.affine_parts(inst.n)
     if parts is None:
@@ -65,6 +129,7 @@ def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleR
     flags: list[bool] = []
     hits: list[int] = []
     singular_skipped = 0
+    index = _SolutionIndex(n)
 
     for lo in range(0, total, _CHUNK):
         ids = np.arange(lo, min(lo + _CHUNK, total))
@@ -86,22 +151,23 @@ def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleR
             & np.all(f >= -ORACLE_TOL.feas_tol, axis=1)
             & np.all(np.abs(h * f) <= ORACLE_TOL.comp_tol, axis=1)
         )
-        for idx in np.flatnonzero(feasible):
+        keep = np.flatnonzero(feasible)
+        tight = np.any((np.abs(h[keep]) <= TIGHT_TOL) & (np.abs(f[keep]) <= TIGHT_TOL), axis=1)
+        for idx, is_tight in zip(keep, tight.tolist()):
             point = pts[idx].copy()
-            tight = bool(np.any((np.abs(h[idx]) <= TIGHT_TOL) & (np.abs(f[idx]) <= TIGHT_TOL)))
-            for k, known in enumerate(solutions):
-                if np.max(np.abs(known - point)) <= DEDUP_RADIUS:
-                    hits[k] += 1
-                    flags[k] = flags[k] or tight or hits[k] > 1
-                    break
-            else:
-                # Re-test through the scalar path so every reported solution
-                # passes check_solution verbatim, not just the batched filter.
-                if not check_solution(inst, point, ORACLE_TOL).ok:
-                    continue
-                solutions.append(point)
-                flags.append(tight)
-                hits.append(1)
+            k = index.find(point)
+            if k is not None:
+                hits[k] += 1
+                flags[k] = flags[k] or is_tight or hits[k] > 1
+                continue
+            # Re-test through the scalar path so every reported solution
+            # passes check_solution verbatim, not just the batched filter.
+            if not check_solution(inst, point, ORACLE_TOL).ok:
+                continue
+            index.add(point)
+            solutions.append(point)
+            flags.append(is_tight)
+            hits.append(1)
 
     return OracleResult(
         solutions=solutions,
@@ -116,5 +182,7 @@ def certify(inst: IcpInstance, r: np.ndarray, n_max: int = ORACLE_N_CAP) -> bool
     r = np.asarray(r, dtype=float)
     if r.shape != (inst.n,):
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, point shape {r.shape}")
-    result = enumerate_solutions(inst, n_max=n_max)
-    return any(np.max(np.abs(sol - r)) <= DEDUP_RADIUS for sol in result.solutions)
+    index = _SolutionIndex(inst.n)
+    for sol in enumerate_solutions(inst, n_max=n_max).solutions:
+        index.add(sol)
+    return index.find(r) is not None

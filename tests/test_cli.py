@@ -120,6 +120,20 @@ def test_verify_passes_on_sound_corpus(tmp_path):
             assert row["is_solution"] == "true"
 
 
+def test_verify_csv_quotes_odd_instance_ids(tmp_path):
+    # The instance id is the file stem, so a comma or a quote in the file
+    # name must be quoted in the CSV rather than split into extra fields.
+    p = tmp_path / 'a,b"c.json'
+    assert main(gen_args(p, seed=9)) == 0
+    out = tmp_path / "rows.csv"
+    assert main(["verify", str(p), "--out-path", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == list(RESULT_COLUMNS)
+    assert rows and all(len(row) == len(RESULT_COLUMNS) for row in rows)
+    assert {row[0] for row in rows} == {'a,b"c'}
+
+
 def test_verify_flags_corrupted_planted(tmp_path):
     p = tmp_path / "good.json"
     assert main(gen_args(p, seed=5)) == 0

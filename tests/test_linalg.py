@@ -4,15 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from icpkit.linalg import (
-    DiagonalScaling,
-    SingularMatrixError,
-    inf_norm,
-    mat_vec,
-    positive_part,
-    solve_linear,
-    solve_linear_batch,
-)
+from icpkit.linalg import DiagonalScaling, inf_norm, positive_part, solve_linear_batch
 from support import diag_dominant
 
 finite_entries = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -42,31 +34,24 @@ def test_positive_part_bounds(v):
     assert np.all(p >= v)
 
 
-def test_mat_vec_examples():
-    assert np.array_equal(mat_vec(np.eye(2), np.array([3.0, -2.0])), [3.0, -2.0])
-    assert np.array_equal(mat_vec(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 1.0])), [3.0, 3.0])
-    assert np.array_equal(mat_vec(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])), np.zeros(3))
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_vec(np.eye(2), np.array([1.0, 2.0, 3.0]))
+def solve_one(a, b):
+    """Solve one system through the batch solver: (solution, singular flag)."""
+    x, singular = solve_linear_batch(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None])
+    return x[0], bool(singular[0])
 
 
 def test_solve_linear_examples():
-    assert np.array_equal(solve_linear(np.eye(2), np.array([4.0, -1.0])), [4.0, -1.0])
-    assert np.array_equal(
-        solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0])), [1.0, 2.0]
-    )
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    x, singular = solve_one(np.eye(2), [4.0, -1.0])
+    assert not singular and np.array_equal(x, [4.0, -1.0])
+    x, singular = solve_one([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
+    assert not singular and np.array_equal(x, [1.0, 2.0])
+    assert solve_one(np.zeros((2, 2)), [1.0, 0.0])[1]
 
 
 def test_solve_linear_rejects_near_singular():
     # Second pivot after elimination is 1e-13, below 1e-12 of the matrix scale.
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-    with pytest.raises(SingularMatrixError):
-        solve_linear(a, np.array([1.0, 1.0]))
+    assert solve_one(a, [1.0, 1.0])[1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -75,7 +60,8 @@ def test_solve_linear_residual_on_diag_dominant(seed):
     n = int(rng.integers(1, 65))
     a = diag_dominant(rng, n)
     b = rng.uniform(-10.0, 10.0, n)
-    x = solve_linear(a, b)
+    x, singular = solve_one(a, b)
+    assert not singular
     assert inf_norm(a @ x - b) <= 1e-10 * (1.0 + inf_norm(b))
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
 from icpkit.generator import GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling, inf_norm
-from icpkit.oracle import certify, enumerate_solutions
+from icpkit.oracle import DEDUP_RADIUS, _SolutionIndex, certify, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 
 ORACLE_TOL = ToleranceConfig(feas_tol=1e-9, comp_tol=1e-9)
@@ -116,3 +118,74 @@ def test_degenerate_flag_marks_boundary_tight_solutions():
     clean = IcpInstance(A=np.eye(1), b=np.array([-1.0]), f=ZeroMap())
     result = enumerate_solutions(clean)
     assert result.degenerate_flags == [False]
+
+
+def first_match(stored, x):
+    """Reference dedup rule: the first row of stored within DEDUP_RADIUS of x (inf-norm)."""
+    near = np.flatnonzero(np.max(np.abs(stored - x), axis=1) <= DEDUP_RADIUS)
+    return int(near[0]) if near.size else None
+
+
+R = DEDUP_RADIUS
+# Per-coordinate offsets from a center: exactly R, one ulp either side of R,
+# fractions of R (so several stored points can match one query) and outside.
+OFFSETS = [0.0, R, -R, np.nextafter(R, 0.0), np.nextafter(R, 1.0), -np.nextafter(R, 1.0),
+           0.3 * R, -0.6 * R, 1.5 * R, 3.0 * R]
+# Far-away points that fill many buckets, so that lookups up to magnitude
+# about 1e9 use the widened bucket window instead of the full scan.
+FILLERS = 2000
+
+
+@st.composite
+def index_case(draw):
+    n = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1e6, 1e8, 1e9, 1e10, 1e12]))
+    # Each coordinate of the center is of the drawn scale or of order 1.
+    coords = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    big = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    center = np.array([c * scale if b else c for c, b in zip(coords, big)])
+    # A line of points a fraction of R apart along one coordinate.  Far from
+    # the origin the computed w.x rises in steps of one ulp, several bucket
+    # widths each, so neighbours on the line straddle distant buckets.
+    axis = draw(st.integers(0, n - 1))
+    step = draw(st.sampled_from([0.25 * R, 0.5 * R, np.nextafter(R, 0.0), R]))
+    line = [center + k * step * np.eye(n)[axis] for k in range(draw(st.integers(0, 120)))]
+    offsets = st.lists(st.sampled_from(OFFSETS), min_size=n, max_size=n)
+    jitter = [center + np.array(off) for off in draw(st.lists(offsets, max_size=10))]
+    points = draw(st.permutations(line + jitter))
+    store = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    return n, points, store
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_case())
+def test_solution_index_matches_linear_first_match(case):
+    # Lookups interleave with unconditional adds, so a query can match several
+    # stored points and must get the lowest index, as the first-match scan does.
+    n, points, store = case
+    rng = np.random.default_rng(n)
+    stored = rng.uniform(1.0, 2.0, (FILLERS, n)) * 1e14
+    index = _SolutionIndex(n)
+    for k, p in enumerate(stored):
+        assert index.add(p) == k
+    for x, keep in zip(points, store):
+        assert index.find(x) == first_match(stored, x)
+        if keep:
+            assert index.add(x) == len(stored)
+            stored = np.vstack([stored, x])
+
+
+def test_many_isolated_solutions_match_closed_form():
+    # A = -diag(u), b = v, f = 0 with u, v > 0: index set s forces r_i = 0 when
+    # bit i is set (H_i = 0) and r_i = v_i / u_i otherwise (F_i = 0), so every
+    # one of the 2^n index sets gives its own isolated, non-degenerate solution.
+    n = 10
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    result = enumerate_solutions(IcpInstance(A=-np.diag(u), b=v, f=ZeroMap()))
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    expected = np.where(bits == 1, 0.0, v / u)
+    assert len(result.solutions) == 1 << n
+    assert np.array_equal(np.array(result.solutions), expected)
+    assert result.degenerate_flags == [False] * (1 << n)
+    assert result.singular_skipped == 0
