@@ -3,8 +3,10 @@
 Vectors and square matrices are plain float64 numpy arrays, validated at the
 boundary (finite entries, length >= 1, squareness) and marked read-only so
 instances can be shared freely between threads.  The linear solver is Gauss
-elimination with partial pivoting, written with a leading batch axis because
-the enumeration oracle needs to solve thousands of small systems at once.
+elimination with partial pivoting over a batch of systems, because the
+enumeration oracle needs to solve thousands of small systems at once.  It
+works through the batch in cache-sized blocks, each stored batch-last so that
+one elimination step is one contiguous update across the block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import numpy as np
 
 # A pivot below this fraction of the matrix scale is treated as singular.
 PIVOT_REL_TOL = 1e-12
+
+# Systems per elimination block: a block of 512 systems of 16 x 16 is 1 MiB
+# in float64, small enough to stay in L2 cache across the n elimination steps.
+_BLOCK = 512
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -56,49 +62,73 @@ def inf_norm(v: np.ndarray) -> float:
 def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a batch of square systems by partial-pivoting elimination.
 
-    ``mats`` has shape (m, n, n) and ``rhs`` shape (m, n).  Returns
-    ``(solutions, singular)`` where ``singular`` marks systems whose pivot fell
-    below PIVOT_REL_TOL times the system's max-magnitude entry; their solution
-    rows are meaningless and must be ignored by the caller.  Elimination is
-    vectorized over the batch axis, so one call costs n numpy passes no matter
-    how many systems are stacked.
+    ``mats`` has shape (m, n, n) and ``rhs`` shape (m, n); neither is modified.
+    Returns ``(solutions, singular)`` where ``singular`` marks systems whose
+    pivot fell below PIVOT_REL_TOL times the system's max-magnitude entry;
+    their solution rows are meaningless and must be ignored by the caller.
+    The batch is eliminated in blocks of _BLOCK systems, each copied to a
+    batch-last layout so that every elimination step is one contiguous
+    in-place update over the block.
     """
-    a = np.array(mats, dtype=float, copy=True)
-    b = np.array(rhs, dtype=float, copy=True)
+    a = np.asarray(mats, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (m, n, n) matrix batch, got shape {a.shape}")
     if b.shape != a.shape[:2]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix batch {a.shape}")
-    m, n, _ = a.shape
+    m = a.shape[0]
 
     scale = np.abs(a).reshape(m, -1).max(axis=1)
     thresh = PIVOT_REL_TOL * np.where(scale > 0.0, scale, 1.0)
-    singular = np.zeros(m, dtype=bool)
-    batch = np.arange(m)
+    x = np.empty(b.shape)
+    singular = np.empty(m, dtype=bool)
+    for lo in range(0, m, _BLOCK):
+        s = slice(lo, lo + _BLOCK)
+        x[s], singular[s] = _solve_block(a[s], b[s], thresh[s])
+    return x, singular
+
+
+def _solve_block(a: np.ndarray, b: np.ndarray, thresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate and back-substitute one block of systems, leaving a and b intact."""
+    w, n, _ = a.shape
+    # Explicit copies: for w = 1 the transposes are already contiguous views.
+    u = a.transpose(1, 2, 0).copy()
+    v = b.T.copy()
+    singular = np.zeros(w, dtype=bool)
+    batch = np.arange(w)
 
     for k in range(n):
-        p = k + np.abs(a[:, k:, k]).argmax(axis=1)
-        singular |= np.abs(a[batch, p, k]) <= thresh
+        p = k + np.abs(u[k:, k]).argmax(axis=0)
+        singular |= np.abs(u[p, k, batch]) <= thresh
 
-        rows_k = a[batch, k, :].copy()
-        a[batch, k, :] = a[batch, p, :]
-        a[batch, p, :] = rows_k
-        rhs_k = b[batch, k].copy()
-        b[batch, k] = b[batch, p]
-        b[batch, p] = rhs_k
+        moved = np.flatnonzero(p != k)
+        pm = p[moved]
+        # Columns left of k are never read again, in either row.
+        rows_k = u[k, k:, moved]
+        u[k, k:, moved] = u[pm, k:, moved]
+        u[pm, k:, moved] = rows_k
+        rhs_k = v[k, moved]
+        v[k, moved] = v[pm, moved]
+        v[pm, moved] = rhs_k
 
-        pivot = a[:, k, k]
+        pivot = u[k, k]
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
-        factor = a[:, k + 1 :, k] / pivot[:, None]
-        a[:, k + 1 :, k:] -= factor[:, :, None] * a[:, None, k, k:]
-        b[:, k + 1 :] -= factor * b[:, k, None]
+        factor = u[k + 1 :, k] / pivot
+        # Column k below the pivot is not updated: nothing reads it again.
+        u[k + 1 :, k + 1 :] -= factor[:, None] * u[k, k + 1 :]
+        v[k + 1 :] -= factor * v[k]
 
-    x = np.zeros_like(b)
+    # Back-substitution runs batch-first: numpy sums a contiguous row
+    # pairwise, while a sum over the batch-last layout would add the terms
+    # sequentially and change the last bits of the solutions.
+    lu = np.ascontiguousarray(u.transpose(2, 0, 1))
+    y = v.T
+    x = np.zeros((w, n))
     for k in range(n - 1, -1, -1):
-        tail = (a[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
-        pivot = a[:, k, k]
+        tail = (lu[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
+        pivot = lu[:, k, k]
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
-        x[:, k] = (b[:, k] - tail) / pivot
+        x[:, k] = (y[:, k] - tail) / pivot
     return x, singular
 
 

@@ -178,11 +178,24 @@ def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleR
 
 
 def certify(inst: IcpInstance, r: np.ndarray, n_max: int = ORACLE_N_CAP) -> bool:
-    """True iff r lies within DEDUP_RADIUS (inf-norm) of an enumerated solution."""
+    """True iff r lies within DEDUP_RADIUS (inf-norm) of an enumerated solution.
+
+    A solution whose subsystems are all singular is never enumerated, so a
+    miss refutes r only when no subsystem was skipped; otherwise the answer
+    is undecided and certify raises ValueError.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (inst.n,):
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, point shape {r.shape}")
+    result = enumerate_solutions(inst, n_max=n_max)
     index = _SolutionIndex(inst.n)
-    for sol in enumerate_solutions(inst, n_max=n_max).solutions:
+    for sol in result.solutions:
         index.add(sol)
-    return index.find(r) is not None
+    if index.find(r) is not None:
+        return True
+    if result.singular_skipped:
+        raise ValueError(
+            f"undecided: r matches no enumerated solution, but {result.singular_skipped} "
+            "singular subsystems were skipped"
+        )
+    return False

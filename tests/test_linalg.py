@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from icpkit.linalg import DiagonalScaling, inf_norm, positive_part, solve_linear_batch
-from support import diag_dominant
+from icpkit.linalg import _BLOCK, PIVOT_REL_TOL, DiagonalScaling, inf_norm, positive_part, solve_linear_batch
+from support import diag_dominant, reference_solve_linear_batch
 
 finite_entries = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 vectors = hnp.arrays(
@@ -87,6 +87,81 @@ def test_solve_linear_batch_flags_singular_rows_only():
     assert singular.tolist() == [False, True, False]
     assert np.array_equal(x[0], [1.0, 2.0])
     assert np.array_equal(x[2], [3.0, 4.0])
+
+
+BATCH_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+BATCH_KINDS = ("uniform", "ties", "singular", "near_singular", "oracle", "wide")
+
+
+def make_batch(kind: str, n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """m systems of size n of one kind, with uniform right-hand sides."""
+    if kind == "uniform":
+        mats = rng.uniform(-1.0, 1.0, (m, n, n))
+    elif kind == "ties":
+        # Entries in {-1, 0, 1}: tied pivot candidates, many exactly singular.
+        mats = rng.integers(-1, 2, (m, n, n)).astype(float)
+    elif kind == "singular":
+        # Zero matrices alternate with matrices whose last row repeats the first.
+        mats = rng.uniform(-1.0, 1.0, (m, n, n))
+        mats[::2] = 0.0
+        mats[1::2, -1] = mats[1::2, 0]
+    elif kind == "near_singular":
+        # The last row misses the first by 1e-14..1e-10, around PIVOT_REL_TOL;
+        # system 0 has the 1e-13 second pivot and system 1 a last pivot of
+        # exactly PIVOT_REL_TOL, which counts as singular.
+        mats = rng.uniform(-1.0, 1.0, (m, n, n))
+        gap = 10.0 ** rng.uniform(-14.0, -10.0, (m, 1))
+        mats[:, -1] = mats[:, 0] + gap * rng.uniform(-1.0, 1.0, (m, n))
+        if n >= 2:
+            mats[:2] = np.eye(n)
+            mats[0, :2, :2] = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+            mats[1, -1, -1] = PIVOT_REL_TOL
+    elif kind == "oracle":
+        # Rows of I - C or of A, as enumerate_solutions builds them; A has a
+        # zero row, so some subsystems are exactly singular.
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a[rng.integers(n)] = 0.0
+        ic = np.eye(n) - rng.uniform(-0.5, 0.5, (n, n))
+        active = rng.integers(0, 2, (m, n)).astype(bool)
+        mats = np.where(active[:, :, None], ic[None], a[None])
+    else:
+        # Magnitudes from 1e-300 to 1e300: elimination overflows to inf and nan.
+        mats = rng.choice([-1.0, 1.0], (m, n, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (m, n, n))
+    return mats, rng.uniform(-1.0, 1.0, (m, n))
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bit-for-bit equality, so signed zeros and nan payloads count too."""
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint8), y.view(np.uint8))
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@pytest.mark.parametrize("n", [*range(1, 17), 24, 40, 64])
+def test_solve_linear_batch_is_bit_identical_to_reference(n, kind):
+    # Block edges do not depend on n, so the larger systems take two sizes.
+    sizes = BATCH_SIZES if n <= 16 else (1, _BLOCK + 1)
+    rng = np.random.default_rng([n, BATCH_KINDS.index(kind)])
+    mats, rhs = make_batch(kind, n, sizes[-1], rng)
+    for m in sizes:
+        with np.errstate(all="ignore"):
+            got_x, got_singular = solve_linear_batch(mats[:m], rhs[:m])
+            want_x, want_singular = reference_solve_linear_batch(mats[:m], rhs[:m])
+        assert same_bits(got_x, want_x), (m, kind)
+        assert same_bits(got_singular, want_singular), (m, kind)
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+@pytest.mark.parametrize("m", [1, _BLOCK + 1])
+def test_solve_linear_batch_leaves_inputs_intact(m, writeable):
+    rng = np.random.default_rng(m)
+    mats, rhs = make_batch("uniform", 5, m, rng)
+    before = mats.tobytes(), rhs.tobytes()
+    mats.setflags(write=writeable)
+    rhs.setflags(write=writeable)
+    x, singular = solve_linear_batch(mats, rhs)
+    assert (mats.tobytes(), rhs.tobytes()) == before
+    want_x, want_singular = reference_solve_linear_batch(mats, rhs)
+    assert same_bits(x, want_x) and same_bits(singular, want_singular)
 
 
 def test_inf_norm_examples():

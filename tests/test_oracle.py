@@ -57,6 +57,19 @@ def test_certify_round_trip_and_perturbation():
     assert not certify(inst, result.solutions[0] + np.array([0.1, 0.0]))
 
 
+def test_certify_is_undecided_when_singular_subsystems_were_skipped():
+    # r = 1 solves the ICP (H = 1, F = 0), but the only subsystem through it,
+    # F = 0 x + 0 = 0, is singular, so the enumeration finds just r = 0.
+    inst = IcpInstance(A=[[0.0]], b=[0.0], f=ZeroMap())
+    assert is_solution(inst, np.array([1.0]), ORACLE_TOL)
+    result = enumerate_solutions(inst)
+    assert result.singular_skipped == 1
+    assert [s.tolist() for s in result.solutions] == [[0.0]]
+    assert certify(inst, np.array([0.0]))
+    with pytest.raises(ValueError, match="undecided"):
+        certify(inst, np.array([1.0]))
+
+
 def test_size_cap_and_preconditions():
     big = IcpInstance(A=np.eye(20), b=np.ones(20), f=ZeroMap())
     with pytest.raises(ValueError):
