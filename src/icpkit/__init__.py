@@ -12,16 +12,14 @@ from .core import (
     evaluate_H,
     is_solution,
 )
-from .generator import GeneratorSpec, generate_matrix, generate_planted
-from .linalg import DiagonalScaling, inf_norm, positive_part
+from .generator import GeneratorSpec, generate_planted
+from .linalg import DiagonalScaling
 from .oracle import OracleResult, certify, enumerate_solutions
 from .residuals import (
     DELTA_CATALOG,
     DeltaFunction,
-    ResidualNorms,
     delta_residual,
     natural_residual,
-    residual_norms,
     s_map,
     scaled_residual,
 )
@@ -31,7 +29,6 @@ from .solver import (
     SolverConfig,
     default_scaling,
     projection_iterate,
-    solve_with_restarts,
 )
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "IcpInstance",
     "ImplicitMap",
     "OracleResult",
-    "ResidualNorms",
     "SolutionCheck",
     "SolveReport",
     "SolveStatus",
@@ -57,16 +53,11 @@ __all__ = [
     "enumerate_solutions",
     "evaluate_F",
     "evaluate_H",
-    "generate_matrix",
     "generate_planted",
-    "inf_norm",
     "is_solution",
     "natural_residual",
-    "positive_part",
     "projection_iterate",
-    "residual_norms",
     "s_map",
     "scaled_residual",
-    "solve_with_restarts",
 ]
 __version__ = "0.1.0"

@@ -83,13 +83,6 @@ def _draw_matrix(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown matrix family {family!r}")
 
 
-def generate_matrix(family: str, n: int, seed: int) -> np.ndarray:
-    """Draw one matrix of the given family from a fresh seeded stream."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _draw_matrix(family, n, np.random.default_rng(seed))
-
-
 def _contractive_map(rng: np.random.Generator, n: int, gamma: float) -> np.ndarray:
     raw = rng.uniform(-1.0, 1.0, (n, n))
     norm = np.max(np.sum(np.abs(raw), axis=1))

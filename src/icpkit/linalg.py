@@ -4,9 +4,9 @@ Vectors and square matrices are plain float64 numpy arrays, validated at the
 boundary (finite entries, length >= 1, squareness) and marked read-only so
 instances can be shared freely between threads.  The linear solver is Gauss
 elimination with partial pivoting over a batch of systems, because the
-enumeration oracle needs to solve thousands of small systems at once.  It
-works through the batch in cache-sized blocks, each stored batch-last so that
-one elimination step is one contiguous update across the block.
+enumeration oracle needs to solve thousands of small systems at once.  The
+batch is stored batch-last so that one elimination step is one contiguous
+update across it.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 
 # A pivot below this fraction of the matrix scale is treated as singular.
 PIVOT_REL_TOL = 1e-12
-
-# Systems per elimination block: a block of 512 systems of 16 x 16 is 1 MiB
-# in float64, small enough to stay in L2 cache across the n elimination steps.
-_BLOCK = 512
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -49,16 +45,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def positive_part(v: np.ndarray) -> np.ndarray:
-    """Componentwise max(0, v_i)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def inf_norm(v: np.ndarray) -> float:
-    """Max-magnitude entry of a vector."""
-    return float(np.max(np.abs(np.asarray(v, dtype=float))))
-
-
 def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a batch of square systems by partial-pivoting elimination.
 
@@ -66,9 +52,8 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     Returns ``(solutions, singular)`` where ``singular`` marks systems whose
     pivot fell below PIVOT_REL_TOL times the system's max-magnitude entry;
     their solution rows are meaningless and must be ignored by the caller.
-    The batch is eliminated in blocks of _BLOCK systems, each copied to a
-    batch-last layout so that every elimination step is one contiguous
-    in-place update over the block.
+    The batch is copied to a batch-last layout so that every elimination
+    step is one contiguous in-place update over it.
     """
     a = np.asarray(mats, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -76,26 +61,15 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(f"expected a (m, n, n) matrix batch, got shape {a.shape}")
     if b.shape != a.shape[:2]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix batch {a.shape}")
-    m = a.shape[0]
+    m, n, _ = a.shape
 
     scale = np.abs(a).reshape(m, -1).max(axis=1)
     thresh = PIVOT_REL_TOL * np.where(scale > 0.0, scale, 1.0)
-    x = np.empty(b.shape)
-    singular = np.empty(m, dtype=bool)
-    for lo in range(0, m, _BLOCK):
-        s = slice(lo, lo + _BLOCK)
-        x[s], singular[s] = _solve_block(a[s], b[s], thresh[s])
-    return x, singular
-
-
-def _solve_block(a: np.ndarray, b: np.ndarray, thresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate and back-substitute one block of systems, leaving a and b intact."""
-    w, n, _ = a.shape
-    # Explicit copies: for w = 1 the transposes are already contiguous views.
+    # Explicit copies: for m = 1 the transposes are already contiguous views.
     u = a.transpose(1, 2, 0).copy()
     v = b.T.copy()
-    singular = np.zeros(w, dtype=bool)
-    batch = np.arange(w)
+    singular = np.zeros(m, dtype=bool)
+    batch = np.arange(m)
 
     for k in range(n):
         p = k + np.abs(u[k:, k]).argmax(axis=0)
@@ -123,7 +97,7 @@ def _solve_block(a: np.ndarray, b: np.ndarray, thresh: np.ndarray) -> tuple[np.n
     # sequentially and change the last bits of the solutions.
     lu = np.ascontiguousarray(u.transpose(2, 0, 1))
     y = v.T
-    x = np.zeros((w, n))
+    x = np.zeros((m, n))
     for k in range(n - 1, -1, -1):
         tail = (lu[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
         pivot = lu[:, k, k]

@@ -12,9 +12,8 @@ Three equivalent reformulations of the complementarity system are provided:
   G_i = 0 exactly on the complementary sign pattern (H_i, F_i >= 0 with
   H_i F_i = 0), so the zero set again equals the solution set.
 
-The literal projection forms are kept alongside the min forms as differential-
-testing mirrors.  The map  s_map(r) = (H(r) - F(r))_+  equals H(r) - R(r) and
-coincides with H(r) exactly at solutions.
+The map  s_map(r) = (H(r) - F(r))_+  equals H(r) - R(r) and coincides with
+H(r) exactly at solutions.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core import IcpInstance, evaluate_F, evaluate_H
-from .linalg import DiagonalScaling, inf_norm, positive_part
+from .linalg import DiagonalScaling
 
 # Strict monotonicity on the reals is not machine-checkable; sampling this
 # fixed grid at construction is the testable surrogate.
@@ -74,19 +73,13 @@ def natural_residual(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
     return np.minimum(evaluate_H(inst, r), evaluate_F(inst, r))
 
 
-def natural_residual_projection_form(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
-    """Literal form H - (H - F)_+; differential-testing mirror of natural_residual."""
-    h = evaluate_H(inst, r)
-    return h - positive_part(h - evaluate_F(inst, r))
-
-
 def s_map(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
     """(H(r) - F(r))_+, i.e. H(r) minus the natural residual.
 
     Fixed-point reading: r solves the instance iff s_map(r) equals H(r)
     componentwise.
     """
-    return positive_part(evaluate_H(inst, r) - evaluate_F(inst, r))
+    return np.maximum(evaluate_H(inst, r) - evaluate_F(inst, r), 0.0)
 
 
 def scaled_residual(
@@ -99,17 +92,6 @@ def scaled_residual(
     return np.minimum(omega1.apply(evaluate_H(inst, r)), omega2.apply(evaluate_F(inst, r)))
 
 
-def scaled_residual_projection_form(
-    inst: IcpInstance,
-    r: np.ndarray,
-    omega1: DiagonalScaling,
-    omega2: DiagonalScaling,
-) -> np.ndarray:
-    """Literal form O1 H - (O1 H - O2 F)_+; mirror of scaled_residual."""
-    sh = omega1.apply(evaluate_H(inst, r))
-    return sh - positive_part(sh - omega2.apply(evaluate_F(inst, r)))
-
-
 def delta_residual(inst: IcpInstance, r: np.ndarray, delta: DeltaFunction) -> np.ndarray:
     """G_i = delta(|F_i - H_i|) - delta(F_i) - delta(H_i) per component.
 
@@ -120,27 +102,3 @@ def delta_residual(inst: IcpInstance, r: np.ndarray, delta: DeltaFunction) -> np
     h = evaluate_H(inst, r)
     f = evaluate_F(inst, r)
     return delta(np.abs(f - h)) - delta(f) - delta(h)
-
-
-@dataclass(frozen=True)
-class ResidualNorms:
-    """Infinity norms of the three residual formulations at one point."""
-
-    natural: float
-    scaled: float
-    delta: float
-
-
-def residual_norms(
-    inst: IcpInstance,
-    r: np.ndarray,
-    omega1: DiagonalScaling,
-    omega2: DiagonalScaling,
-    delta: DeltaFunction,
-) -> ResidualNorms:
-    """Evaluate all three residuals at r and return their infinity norms."""
-    return ResidualNorms(
-        natural=inf_norm(natural_residual(inst, r)),
-        scaled=inf_norm(scaled_residual(inst, r, omega1, omega2)),
-        delta=inf_norm(delta_residual(inst, r, delta)),
-    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IcpInstance
-from .linalg import DiagonalScaling, positive_part
+from .linalg import DiagonalScaling
 from .residuals import natural_residual
 
 DIVERGENCE_LIMIT = 1e12
@@ -112,25 +112,5 @@ def projection_iterate(inst: IcpInstance, r0: np.ndarray, cfg: SolverConfig) -> 
             if k == cfg.max_iters:
                 return SolveReport(SolveStatus.MAX_ITERS_REACHED, k, history, r)
             fr = inst.f.evaluate(r)
-            r = fr + positive_part(r - fr - step * (inst.A @ r + inst.b))
+            r = fr + np.maximum(r - fr - step * (inst.A @ r + inst.b), 0.0)
     raise AssertionError("unreachable")
-
-
-def solve_with_restarts(inst: IcpInstance, cfg: SolverConfig, starts) -> SolveReport:
-    """Run projection_iterate from every start and return the best report.
-
-    Best means smallest final residual; ties break by fewest iterations, then
-    by start order.  Raises ValueError on an empty start list.
-    """
-    starts = list(starts)
-    if not starts:
-        raise ValueError("solve_with_restarts needs at least one starting point")
-    best: SolveReport | None = None
-    for r0 in starts:
-        report = projection_iterate(inst, r0, cfg)
-        if best is None or (report.final_residual, report.iterations) < (
-            best.final_residual,
-            best.iterations,
-        ):
-            best = report
-    return best

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from icpkit.core import AffineMap, IcpInstance, ZeroMap
-from icpkit.linalg import PIVOT_REL_TOL
+from icpkit.core import AffineMap, IcpInstance, ZeroMap, evaluate_F, evaluate_H
+from icpkit.linalg import PIVOT_REL_TOL, DiagonalScaling
 
 
 def pair_instance(h: np.ndarray, f: np.ndarray) -> tuple[IcpInstance, np.ndarray]:
@@ -39,6 +39,23 @@ def diag_dominant(rng: np.random.Generator, n: int) -> np.ndarray:
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, np.sum(np.abs(a), axis=1) + rng.uniform(0.1, 1.0, n))
     return a
+
+
+def natural_residual_projection_form(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
+    """Literal form H - (H - F)_+; differential-testing mirror of natural_residual."""
+    h = evaluate_H(inst, r)
+    return h - np.maximum(h - evaluate_F(inst, r), 0.0)
+
+
+def scaled_residual_projection_form(
+    inst: IcpInstance,
+    r: np.ndarray,
+    omega1: DiagonalScaling,
+    omega2: DiagonalScaling,
+) -> np.ndarray:
+    """Literal form O1 H - (O1 H - O2 F)_+; mirror of scaled_residual."""
+    sh = omega1.apply(evaluate_H(inst, r))
+    return sh - np.maximum(sh - omega2.apply(evaluate_F(inst, r)), 0.0)
 
 
 def reference_solve_linear_batch(mats, rhs) -> tuple[np.ndarray, np.ndarray]:

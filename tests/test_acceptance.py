@@ -10,23 +10,17 @@ import json
 import numpy as np
 import pytest
 
-from icpkit.cli import main
-from icpkit.core import ToleranceConfig, evaluate_F, evaluate_H, is_solution
-from icpkit.generator import GeneratorSpec, generate_planted
-from icpkit.linalg import DiagonalScaling, inf_norm
-from icpkit.oracle import enumerate_solutions
+from icpkit.cli import PERTURB_EPSILONS, main
+from icpkit.core import DEFAULT_TOL, evaluate_F, evaluate_H, is_solution
+from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
+from icpkit.linalg import DiagonalScaling
+from icpkit.oracle import ORACLE_TOL, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from icpkit.solver import SolveStatus, SolverConfig, default_scaling, projection_iterate
 from support import pair_instance, random_instance
 
-DEFAULT_TOL = ToleranceConfig()
-ORACLE_TOL = ToleranceConfig(feas_tol=1e-9, comp_tol=1e-9)
-PERTURB_EPSILONS = (1e-6, 1e-2, 0.5)
-
 CORPUS_SEEDS = range(6)
 CORPUS_SIZES = range(1, 11)
-MATRIX_FAMILIES = ("diag_dominant", "symmetric_pd", "dense")
-F_FAMILIES = ("zero", "contractive_affine")
 ACTIVE_FRACTIONS = (0.0, 0.5, 1.0)
 
 
@@ -102,12 +96,12 @@ def test_criterion_1_natural_residual_equivalence(corpus, oracle_cache):
             (f"oracle{j}", s) for j, s in enumerate(oracle.solutions)
         ]:
             points += 1
-            if inf_norm(natural_residual(inst, point)) > 1e-10:
+            if np.max(np.abs(natural_residual(inst, point))) > 1e-10:
                 failures.append(f"{spec}: |R| > 1e-10 at {label}")
         for point in _perturbed_points(planted):
             points += 1
             if not is_solution(inst, point, DEFAULT_TOL):
-                if inf_norm(natural_residual(inst, point)) <= DEFAULT_TOL.comp_tol:
+                if np.max(np.abs(natural_residual(inst, point))) <= DEFAULT_TOL.comp_tol:
                     failures.append(f"{spec}: non-solution with |R| <= comp_tol")
     _report(
         "criterion 1 (residual zero exactly at solutions)",
@@ -187,7 +181,7 @@ def test_criterion_4_delta_sign_structure(corpus, oracle_cache):
         assert sampled >= 10_000 and negatives > 1000 and positives > 1000
         for (_, inst, _, _), oracle in zip(corpus, oracle_cache):
             for sol in oracle.solutions:
-                if inf_norm(delta_residual(inst, sol, delta)) > 1e-7:
+                if np.max(np.abs(delta_residual(inst, sol, delta))) > 1e-7:
                     failures.append(f"{name}: |G| > 1e-7 at an oracle solution")
     _report(
         "criterion 4 (delta residual sign trichotomy)",

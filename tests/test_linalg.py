@@ -1,37 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from icpkit.linalg import _BLOCK, PIVOT_REL_TOL, DiagonalScaling, inf_norm, positive_part, solve_linear_batch
+from icpkit.linalg import PIVOT_REL_TOL, DiagonalScaling, solve_linear_batch
 from support import diag_dominant, reference_solve_linear_batch
-
-finite_entries = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
-vectors = hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=16),
-    elements=finite_entries,
-)
-
-
-def test_positive_part_examples():
-    assert np.array_equal(positive_part(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-    assert np.array_equal(positive_part(np.array([0.0, 0.0])), [0.0, 0.0])
-    assert np.array_equal(positive_part(np.array([-5.0])), [0.0])
-
-
-@given(vectors)
-def test_positive_part_idempotent(v):
-    once = positive_part(v)
-    assert np.array_equal(positive_part(once), once)
-
-
-@given(vectors)
-def test_positive_part_bounds(v):
-    p = positive_part(v)
-    assert np.all(p >= 0.0)
-    assert np.all(p >= v)
 
 
 def solve_one(a, b):
@@ -62,7 +33,7 @@ def test_solve_linear_residual_on_diag_dominant(seed):
     b = rng.uniform(-10.0, 10.0, n)
     x, singular = solve_one(a, b)
     assert not singular
-    assert inf_norm(a @ x - b) <= 1e-10 * (1.0 + inf_norm(b))
+    assert np.max(np.abs(a @ x - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -89,7 +60,8 @@ def test_solve_linear_batch_flags_singular_rows_only():
     assert np.array_equal(x[2], [3.0, 4.0])
 
 
-BATCH_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+# Around the oracle's 512-system chunk, the batch size solve_linear_batch sees.
+BATCH_SIZES = (1, 511, 512, 513, 1027)
 BATCH_KINDS = ("uniform", "ties", "singular", "near_singular", "oracle", "wide")
 
 
@@ -138,8 +110,8 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 @pytest.mark.parametrize("n", [*range(1, 17), 24, 40, 64])
 def test_solve_linear_batch_is_bit_identical_to_reference(n, kind):
-    # Block edges do not depend on n, so the larger systems take two sizes.
-    sizes = BATCH_SIZES if n <= 16 else (1, _BLOCK + 1)
+    # The oracle stops at n = 16, so the larger systems take two sizes.
+    sizes = BATCH_SIZES if n <= 16 else (1, 513)
     rng = np.random.default_rng([n, BATCH_KINDS.index(kind)])
     mats, rhs = make_batch(kind, n, sizes[-1], rng)
     for m in sizes:
@@ -151,7 +123,7 @@ def test_solve_linear_batch_is_bit_identical_to_reference(n, kind):
 
 
 @pytest.mark.parametrize("writeable", [True, False])
-@pytest.mark.parametrize("m", [1, _BLOCK + 1])
+@pytest.mark.parametrize("m", [1, 513])
 def test_solve_linear_batch_leaves_inputs_intact(m, writeable):
     rng = np.random.default_rng(m)
     mats, rhs = make_batch("uniform", 5, m, rng)
@@ -162,12 +134,6 @@ def test_solve_linear_batch_leaves_inputs_intact(m, writeable):
     assert (mats.tobytes(), rhs.tobytes()) == before
     want_x, want_singular = reference_solve_linear_batch(mats, rhs)
     assert same_bits(x, want_x) and same_bits(singular, want_singular)
-
-
-def test_inf_norm_examples():
-    assert inf_norm(np.zeros(3)) == 0.0
-    assert inf_norm(np.array([-3.0, 2.0])) == 3.0
-    assert inf_norm(np.array([1e-9])) == 1e-9
 
 
 def test_diagonal_scaling_requires_positive_entries():
