@@ -81,7 +81,10 @@ def _number_list(doc, key: str, length: int) -> np.ndarray:
         raise ValueError(f"field {key!r} must be a list of {length} numbers")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ValueError(f"field {key!r} must contain numbers only")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"field {key!r} has an integer too large for a float") from None
 
 
 @dataclass

@@ -7,6 +7,20 @@ linear systems built by picking, per row, either ((I - C) r)_i = d_i or
 keeping the candidates that pass the solution test yields every solution; the
 exponential cost is the price of independence from the residual machinery
 this oracle is used to check.
+
+When 2^n spans more than one chunk of _CHUNK subsystems and I - C is well
+conditioned, the subsystems are solved in reduced form.  With P = (I - C)^-1,
+substituting z = H(r) turns the ICP into LCP(M, q) with M = A P and
+q = A P d + b (Pang 1981), so index set S (z_S = 0) leaves one
+|Sbar| x |Sbar| system M_SbarSbar z_Sbar = -q_Sbar, whose matrix is singular
+exactly when the full subsystem's is, and r = P (z + d).  The full n x n
+path runs otherwise: for n <= 9, where one chunk pads every reduced system back
+to n x n, and when I - C fails the pivot test or its condition number exceeds
+_COND_MAX.  Both paths feed the same feasibility filter, dedup and scalar
+re-test, in index-set order.  They agree within DEDUP_RADIUS, not bit for bit:
+the same solutions in the same order with the same degenerate flags, and the
+same singular_skipped unless a near-singular subsystem's pivot falls on
+different sides of the threshold in the two forms.
 """
 
 from __future__ import annotations
@@ -26,6 +40,9 @@ TIGHT_TOL = 1e-8
 # Subsystems per solve_linear_batch call: 512 systems of 16 x 16 are 1 MiB in
 # float64, small enough to stay in L2 cache across the n elimination steps.
 _CHUNK = 512
+# Above this inf-norm condition number of I - C the reduced path's P = (I - C)^-1
+# could lose agreement with the full path to within DEDUP_RADIUS.
+_COND_MAX = 1e8
 
 
 @dataclass
@@ -114,6 +131,86 @@ def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:
     return parts
 
 
+def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
+    """(P, M, q) with P = (I - C)^-1, M = A P and q = A P d + b, or None.
+
+    None sends the enumeration down the full path: I - C failed the pivot
+    test, its inf-norm condition number exceeds _COND_MAX, or M or q is not
+    finite.
+    """
+    n = inst.n
+    x, singular = solve_linear_batch(np.broadcast_to(ic, (n, n, n)), np.eye(n))
+    if singular.any():
+        return None
+    p = x.T
+    m = inst.A @ p
+    q = m @ d + inst.b
+    cond = np.abs(ic).sum(axis=1).max() * np.abs(p).sum(axis=1).max()
+    if not (cond <= _COND_MAX and np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
+        return None
+    return p, m, q
+
+
+def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
+    """(ids, points, singular) per chunk of index sets, each solved as its n x n subsystem."""
+    n = inst.n
+    total = 1 << n
+    bit = 1 << np.arange(n)
+    for lo in range(0, total, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, total))
+        # active[s, i]: index set s forces H_i = 0 (row from I - C), else F_i = 0.
+        active = (ids[:, None] & bit) != 0
+        mats = np.where(active[:, :, None], ic[None, :, :], inst.A[None, :, :])
+        rhs = np.where(active, d[None, :], -inst.b[None, :])
+        points, singular = solve_linear_batch(mats, rhs)
+        yield ids, points, singular
+
+
+def _by_free_count(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets sorted stably by |Sbar|, their count of clear bits among n, and their |Sbar|."""
+    ids = np.arange(1 << n)
+    free = np.full(1 << n, n, dtype=np.int8)
+    for i in range(n):
+        free -= ((ids >> i) & 1).astype(np.int8)
+    order = np.argsort(free, kind="stable")
+    return order, free[order]
+
+
+def _reduced_batches(n: int, p: np.ndarray, m: np.ndarray, q: np.ndarray, d: np.ndarray):
+    """(ids, points, singular) per chunk, from M_SbarSbar z_Sbar = -q_Sbar and r = P (z + d).
+
+    Index sets are visited by increasing |Sbar| (the clear bits), so that
+    each chunk pads its systems only to its own largest |Sbar| = K.  The pad
+    is a diagonal block equal to the system's max |entry|, which leaves the
+    pivot threshold's scale unchanged; the pad's unknowns come out 0.
+    """
+    total = 1 << n
+    order, free = _by_free_count(n)
+    for lo in range(0, total, _CHUNK):
+        chunk = order[lo : lo + _CHUNK]
+        k = free[lo : lo + _CHUNK]
+        kmax = int(k[-1])
+        active = ((chunk[:, None] >> np.arange(n)) & 1).astype(bool)
+        # The free indices in increasing order, then the fixed ones (z_S = 0);
+        # a system's columns past its own k are padding.
+        cols = np.argsort(active, axis=1, kind="stable")[:, :kmax]
+        mats = m.take(cols[:, :, None] * n + cols[:, None, :])
+        rhs = -q[cols]
+        if k[0] < kmax:
+            valid = np.arange(kmax) < k[:, None]
+            # M is finite (see _reduction), so masking by a product is exact.
+            mats *= valid[:, :, None] & valid[:, None, :]
+            scale = np.abs(mats).max(axis=(1, 2))
+            scale[k == 0] = 1.0
+            diag = np.arange(kmax)
+            mats[:, diag, diag] = np.where(valid, mats[:, diag, diag], scale[:, None])
+            rhs = np.where(valid, rhs, 0.0)
+        z, singular = solve_linear_batch(mats, rhs)
+        zfull = np.zeros((len(chunk), n))
+        np.put_along_axis(zfull, cols, z, axis=1)
+        yield chunk, (zfull + d) @ p.T, singular
+
+
 def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleResult:
     """Enumerate every solution of an affine instance with n <= n_max (<= 16)."""
     c, d = _affine_parts(inst)
@@ -123,53 +220,55 @@ def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleR
         raise ValueError(f"oracle handles n <= {cap}, got n = {n}")
 
     ic = np.eye(n) - c
-    a = inst.A
     total = 1 << n
-    bit = 1 << np.arange(n)
+    # One chunk pads every reduced system back to n x n and saves nothing.
+    reduction = _reduction(inst, ic, d) if total > _CHUNK else None
+    if reduction is None:
+        batches = _full_batches(inst, ic, d)
+    else:
+        batches = _reduced_batches(n, *reduction, d)
 
-    solutions: list[np.ndarray] = []
-    flags: list[bool] = []
-    hits: list[int] = []
     singular_skipped = 0
-    index = _SolutionIndex(n)
-
-    for lo in range(0, total, _CHUNK):
-        ids = np.arange(lo, min(lo + _CHUNK, total))
-        # active[s, i]: index set s forces H_i = 0 (row from I - C), else F_i = 0.
-        active = (ids[:, None] & bit) != 0
-        mats = np.where(active[:, :, None], ic[None, :, :], a[None, :, :])
-        rhs = np.where(active, d[None, :], -inst.b[None, :])
-        points, singular = solve_linear_batch(mats, rhs)
+    found_ids, found_points, found_tight = [], [], []
+    for ids, points, singular in batches:
         singular_skipped += int(singular.sum())
-
         good = ~singular & np.all(np.isfinite(points), axis=1)
-        if not np.any(good):
-            continue
         pts = points[good]
         h = pts - (pts @ c.T + d[None, :])
-        f = pts @ a.T + inst.b[None, :]
+        f = pts @ inst.A.T + inst.b[None, :]
         feasible = (
             np.all(h >= -ORACLE_TOL.feas_tol, axis=1)
             & np.all(f >= -ORACLE_TOL.feas_tol, axis=1)
             & np.all(np.abs(h * f) <= ORACLE_TOL.comp_tol, axis=1)
         )
-        keep = np.flatnonzero(feasible)
-        tight = np.any((np.abs(h[keep]) <= TIGHT_TOL) & (np.abs(f[keep]) <= TIGHT_TOL), axis=1)
-        for idx, is_tight in zip(keep, tight.tolist()):
-            point = pts[idx].copy()
-            k = index.find(point)
-            if k is not None:
-                hits[k] += 1
-                flags[k] = flags[k] or is_tight or hits[k] > 1
-                continue
-            # Re-test through the scalar path so every reported solution
-            # passes check_solution verbatim, not just the batched filter.
-            if not check_solution(inst, point, ORACLE_TOL).ok:
-                continue
-            index.add(point)
-            solutions.append(point)
-            flags.append(is_tight)
-            hits.append(1)
+        found_ids.append(ids[good][feasible])
+        found_points.append(pts[feasible])
+        found_tight.append(np.any((np.abs(h[feasible]) <= TIGHT_TOL) & (np.abs(f[feasible]) <= TIGHT_TOL), axis=1))
+
+    # Candidates in index-set order, whichever order the chunks visited.
+    order = np.argsort(np.concatenate(found_ids), kind="stable")
+    points = np.concatenate(found_points)[order]
+    tight = np.concatenate(found_tight)[order].tolist()
+
+    solutions: list[np.ndarray] = []
+    flags: list[bool] = []
+    hits: list[int] = []
+    index = _SolutionIndex(n)
+    for point, is_tight in zip(points, tight):
+        k = index.find(point)
+        if k is not None:
+            hits[k] += 1
+            flags[k] = flags[k] or is_tight or hits[k] > 1
+            continue
+        # Re-test through the scalar path so every reported solution
+        # passes check_solution verbatim, not just the batched filter.
+        if not check_solution(inst, point, ORACLE_TOL).ok:
+            continue
+        point = point.copy()
+        index.add(point)
+        solutions.append(point)
+        flags.append(is_tight)
+        hits.append(1)
 
     return OracleResult(
         solutions=solutions,

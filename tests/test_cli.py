@@ -80,6 +80,14 @@ def test_load_rejects_malformed_and_nonfinite(tmp_path):
         load_instance(str(inconsistent))
 
 
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, capsys, command):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1, "A": [1' + "0" * 400 + '], "b": [0.0], "f": {"type": "zero"}}')
+    assert main([command, str(huge)]) == 2
+    assert "error: field 'A'" in capsys.readouterr().err
+
+
 def test_instance_dict_schema():
     inst = IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
     doc = instance_to_dict(inst, planted=np.array([0.5, 0.5]), seed=11, spec_echo={"rng": "numpy-pcg64"})

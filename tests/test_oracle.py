@@ -1,13 +1,17 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icpkit.oracle as oracle
 from icpkit.core import AffineMap, IcpInstance, ZeroMap, is_solution
-from icpkit.generator import GeneratorSpec, generate_planted
+from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
 from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _SolutionIndex, certify, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
+from support import diag_dominant
 
 
 def test_unique_solution_of_two_dimensional_lcp():
@@ -200,3 +204,84 @@ def test_many_isolated_solutions_match_closed_form():
     assert np.array_equal(np.array(result.solutions), expected)
     assert result.degenerate_flags == [False] * (1 << n)
     assert result.singular_skipped == 0
+
+
+def on_full_path(fn, *args):
+    """fn(*args) with the enumeration forced onto the full n x n path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_reduction", lambda *_: None)
+        return fn(*args)
+
+
+def reduces(inst):
+    c, d = inst.f.affine_parts(inst.n)
+    return oracle._reduction(inst, np.eye(inst.n) - c, d) is not None
+
+
+def certify_answer(inst, r):
+    try:
+        return certify(inst, r)
+    except ValueError:
+        return "undecided"
+
+
+def assert_paths_agree(inst):
+    assert reduces(inst)
+    reduced, full = enumerate_solutions(inst), on_full_path(enumerate_solutions, inst)
+    assert len(reduced.solutions) == len(full.solutions)
+    for x, y in zip(reduced.solutions, full.solutions):
+        assert np.max(np.abs(x - y)) <= DEDUP_RADIUS
+    assert reduced.degenerate_flags == full.degenerate_flags
+    assert reduced.singular_skipped == full.singular_skipped
+    assert reduced.subsets_tested == full.subsets_tested == 1 << inst.n
+    probes = [np.zeros(inst.n)] + full.solutions[:1] + [s + 1e-3 for s in full.solutions[:1]]
+    for r in probes:
+        assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("f_family", F_FAMILIES)
+@pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
+def test_reduced_path_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
+    spec = GeneratorSpec(n=n, seed=seed, matrix_family=matrix_family, f_family=f_family, gamma=0.5)
+    assert_paths_agree(generate_planted(spec)[0])
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("c_entry", [0.0, 0.25, -0.25])
+@pytest.mark.parametrize("shape", ["plain", "zero_row", "duplicate_rows", "b_zero"])
+def test_reduced_path_matches_full_path_on_degenerate_instances(shape, c_entry, n, seed):
+    # Entries in {-1, 0, 1} make many subsystems exactly singular and many
+    # solutions tight; C has entries in {0, c_entry} times {-1, 1}.
+    rng = np.random.default_rng([seed, n, len(shape), int(4 * c_entry) + 1])
+    a = rng.integers(-1, 2, (n, n)).astype(float)
+    b = rng.integers(-1, 2, n).astype(float)
+    if shape == "zero_row":
+        a[rng.integers(n)] = 0.0
+    elif shape == "duplicate_rows":
+        i, j = rng.choice(n, 2, replace=False)
+        a[j] = a[i]
+    elif shape == "b_zero":
+        b[:] = 0.0
+    c = c_entry * rng.integers(-1, 2, (n, n))
+    f = AffineMap(c, rng.integers(-1, 2, n).astype(float)) if c_entry else ZeroMap()
+    assert_paths_agree(IcpInstance(A=a, b=b, f=f))
+
+
+@pytest.mark.parametrize("case", ["identity_row", "ill_conditioned"])
+def test_fallback_returns_the_full_path_result_exactly(case):
+    n = 10
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-0.05, 0.05, (n, n))
+    c[3] = np.eye(n)[3]  # I - C is singular: its row 3 is zero
+    if case == "ill_conditioned":
+        c[3, 3] -= 1e-9  # ||I - C|| ||(I - C)^-1|| is about 1e9
+    d = rng.uniform(-1.0, 1.0, n)
+    d[3] = -0.5  # H_3 is then (about) 0.5 > 0, so F_3 = 0 at every solution
+    inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=AffineMap(c, d))
+    assert not reduces(inst)
+    result = enumerate_solutions(inst)
+    assert result.solutions
+    assert pickle.dumps(result) == pickle.dumps(on_full_path(enumerate_solutions, inst))
