@@ -15,12 +15,13 @@ q = A P d + b (Pang 1981), so index set S (z_S = 0) leaves one
 |Sbar| x |Sbar| system M_SbarSbar z_Sbar = -q_Sbar, whose matrix is singular
 exactly when the full subsystem's is, and r = P (z + d).  The full n x n
 path runs otherwise: for n <= 9, where one chunk pads every reduced system back
-to n x n, and when I - C fails the pivot test or its condition number exceeds
-_COND_MAX.  Both paths feed the same feasibility filter, dedup and scalar
-re-test, in index-set order.  They agree within DEDUP_RADIUS, not bit for bit:
-the same solutions in the same order with the same degenerate flags, and the
-same singular_skipped unless a near-singular subsystem's pivot falls on
-different sides of the threshold in the two forms.
+to n x n, and when I - C fails the pivot test or is too ill-conditioned for the
+rebuilt r to meet the oracle tolerances (see _ROUNDING_SHARE).  Both paths feed
+the same feasibility filter, dedup and scalar re-test, in index-set order.
+They agree within DEDUP_RADIUS, not bit for bit: the same solutions in the
+same order with the same degenerate flags, and the same singular_skipped
+unless a near-singular subsystem's pivot falls on different sides of the
+threshold in the two forms.
 """
 
 from __future__ import annotations
@@ -40,9 +41,14 @@ TIGHT_TOL = 1e-8
 # Subsystems per solve_linear_batch call: 512 systems of 16 x 16 are 1 MiB in
 # float64, small enough to stay in L2 cache across the n elimination steps.
 _CHUNK = 512
-# Above this inf-norm condition number of I - C the reduced path's P = (I - C)^-1
-# could lose agreement with the full path to within DEDUP_RADIUS.
-_COND_MAX = 1e8
+# The full path's elimination leaves H_S and F_Sbar near n eps |r| whatever the
+# conditioning.  The reduced path rebuilds r = P (z + d), so the H and F that
+# its filter sees carry rounding of about n eps max(||I - C||, ||A||) ||P|| |z + d|
+# (inf-norms).  It runs only while that estimate, with s = max(|d|, |q|, 1)
+# standing in for |z + d|, times s again for the other factor of H_i F_i,
+# stays below this share of the oracle tolerances.  For O(1) data at n = 16
+# that admits ||P|| up to about 3e4.
+_ROUNDING_SHARE = 0.1
 
 
 @dataclass
@@ -135,8 +141,8 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     """(P, M, q) with P = (I - C)^-1, M = A P and q = A P d + b, or None.
 
     None sends the enumeration down the full path: I - C failed the pivot
-    test, its inf-norm condition number exceeds _COND_MAX, or M or q is not
-    finite.
+    test, the rounding estimate of _ROUNDING_SHARE exceeds its share of the
+    tolerances, or M or q is not finite.
     """
     n = inst.n
     x, singular = solve_linear_batch(np.broadcast_to(ic, (n, n, n)), np.eye(n))
@@ -145,8 +151,12 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     p = x.T
     m = inst.A @ p
     q = m @ d + inst.b
-    cond = np.abs(ic).sum(axis=1).max() * np.abs(p).sum(axis=1).max()
-    if not (cond <= _COND_MAX and np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
+        return None
+    norms = [np.abs(a).sum(axis=1).max() for a in (ic, inst.A, p)]
+    s = max(np.abs(d).max(), np.abs(q).max(), 1.0)
+    rounding = n * np.finfo(float).eps * max(norms[0], norms[1]) * norms[2] * s
+    if rounding * s > _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol):
         return None
     return p, m, q
 

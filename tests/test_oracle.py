@@ -226,8 +226,11 @@ def certify_answer(inst, r):
 
 
 def assert_paths_agree(inst):
-    assert reduces(inst)
     reduced, full = enumerate_solutions(inst), on_full_path(enumerate_solutions, inst)
+    if not reduces(inst):
+        # Both sides ran the full path.
+        assert pickle.dumps(reduced) == pickle.dumps(full)
+        return
     assert len(reduced.solutions) == len(full.solutions)
     for x, y in zip(reduced.solutions, full.solutions):
         assert np.max(np.abs(x - y)) <= DEDUP_RADIUS
@@ -245,7 +248,9 @@ def assert_paths_agree(inst):
 @pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
 def test_reduced_path_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
     spec = GeneratorSpec(n=n, seed=seed, matrix_family=matrix_family, f_family=f_family, gamma=0.5)
-    assert_paths_agree(generate_planted(spec)[0])
+    inst = generate_planted(spec)[0]
+    assert reduces(inst)
+    assert_paths_agree(inst)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -254,7 +259,9 @@ def test_reduced_path_matches_full_path_on_generated_families(matrix_family, f_f
 @pytest.mark.parametrize("shape", ["plain", "zero_row", "duplicate_rows", "b_zero"])
 def test_reduced_path_matches_full_path_on_degenerate_instances(shape, c_entry, n, seed):
     # Entries in {-1, 0, 1} make many subsystems exactly singular and many
-    # solutions tight; C has entries in {0, c_entry} times {-1, 1}.
+    # solutions tight; C has entries in {0, c_entry} times {-1, 1}.  Large
+    # |q| can send an instance down the full path (b_zero, -0.25, 11, 0 has
+    # max |q| = 21), where the result must then match byte for byte.
     rng = np.random.default_rng([seed, n, len(shape), int(4 * c_entry) + 1])
     a = rng.integers(-1, 2, (n, n)).astype(float)
     b = rng.integers(-1, 2, n).astype(float)
@@ -285,3 +292,23 @@ def test_fallback_returns_the_full_path_result_exactly(case):
     result = enumerate_solutions(inst)
     assert result.solutions
     assert pickle.dumps(result) == pickle.dumps(on_full_path(enumerate_solutions, inst))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-6, 5e-8])
+def test_near_singular_block_in_i_minus_c_keeps_the_solution(delta, seed):
+    # I - C holds the block [[1, 1], [1, 1 + delta]], condition number about
+    # 4 / delta.  The one solution x has H(x) = 0 and F(x) = x + 1 >= 1, so an
+    # error of 1e-9 in a rebuilt H_i already breaks |H_i F_i| <= comp_tol.
+    # The reduced path must keep x at the edge of its range or fall back.
+    n = 10
+    ic = np.eye(n)
+    ic[0, 1] = ic[1, 0] = 1.0
+    ic[1, 1] += delta
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    inst = IcpInstance(A=np.eye(n), b=np.ones(n), f=AffineMap(np.eye(n) - ic, ic @ x))
+    result = enumerate_solutions(inst)
+    assert len(result.solutions) == 1
+    assert np.max(np.abs(result.solutions[0] - x)) <= DEDUP_RADIUS
+    assert reduces(inst) == (delta >= 1e-3)
+    assert_paths_agree(inst)
