@@ -498,6 +498,9 @@ def cmd_verify(args) -> int:
     if unknown or not delta_names:
         print(f"error: unknown delta functions {unknown}", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 2
 
     units: list[LoadedInstance] = []
     try:
@@ -549,6 +552,13 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--active-fraction", type=float, default=0.5)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icpkit",
@@ -580,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-10, help="solution-point residual tolerance")
     p_verify.add_argument("--deltas", default="identity,cubic,tanh,asinh")
-    p_verify.add_argument("--scalings", type=int, default=3, help="random scaling pairs per instance")
+    p_verify.add_argument("--scalings", type=_positive_int, default=3, help="random scaling pairs per instance")
     p_verify.add_argument("--solver", action="store_true", help="also report the solver end point")
     p_verify.add_argument("--out", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--out-path", default="-", help="output file, '-' for stdout")

@@ -63,7 +63,7 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(f"rhs shape {b.shape} does not match matrix batch {a.shape}")
     m, n, _ = a.shape
 
-    scale = np.abs(a).reshape(m, -1).max(axis=1)
+    scale = np.abs(a).reshape(m, -1).max(axis=1, initial=0.0)
     thresh = PIVOT_REL_TOL * np.where(scale > 0.0, scale, 1.0)
     # Explicit copies: for m = 1 the transposes are already contiguous views.
     u = a.transpose(1, 2, 0).copy()

@@ -13,15 +13,16 @@ conditioned, the subsystems are solved in reduced form.  With P = (I - C)^-1,
 substituting z = H(r) turns the ICP into LCP(M, q) with M = A P and
 q = A P d + b (Pang 1981), so index set S (z_S = 0) leaves one
 |Sbar| x |Sbar| system M_SbarSbar z_Sbar = -q_Sbar, whose matrix is singular
-exactly when the full subsystem's is, and r = P (z + d).  The full n x n
-path runs otherwise: for n <= 9, where one chunk pads every reduced system back
-to n x n, and when I - C fails the pivot test or is too ill-conditioned for the
-rebuilt r to meet the oracle tolerances (see _ROUNDING_SHARE).  Both paths feed
-the same feasibility filter, dedup and scalar re-test, in index-set order.
-They agree within DEDUP_RADIUS, not bit for bit: the same solutions in the
-same order with the same degenerate flags, and the same singular_skipped
-unless a near-singular subsystem's pivot falls on different sides of the
-threshold in the two forms.
+exactly when the full subsystem's is, and r = P (z + d).  Index sets are
+grouped by |Sbar|, and each chunk solves systems of one size only.  The full
+n x n path runs otherwise: for n <= 9, where its one batched call beats the
+n + 1 calls of the grouped sizes, and when I - C fails the pivot test or is
+too ill-conditioned for the rebuilt r to meet the oracle tolerances (see
+_ROUNDING_SHARE).  Both paths feed the same feasibility filter, dedup and
+scalar re-test, in index-set order.  They agree within DEDUP_RADIUS, not bit
+for bit: the same solutions in the same order with the same degenerate flags,
+and the same singular_skipped unless a near-singular subsystem's pivot falls
+on different sides of the threshold in the two forms.
 """
 
 from __future__ import annotations
@@ -189,49 +190,35 @@ def _by_free_count(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _reduced_batches(n: int, p: np.ndarray, m: np.ndarray, q: np.ndarray, d: np.ndarray):
     """(ids, points, singular) per chunk, from M_SbarSbar z_Sbar = -q_Sbar and r = P (z + d).
 
-    Index sets are visited by increasing |Sbar| (the clear bits), so that
-    each chunk pads its systems only to its own largest |Sbar| = K.  The pad
-    is a diagonal block equal to the system's max |entry|, which leaves the
-    pivot threshold's scale unchanged; the pad's unknowns come out 0.
+    Index sets are visited by increasing |Sbar| = k (their clear bits), and
+    each chunk holds sets of a single k, so its systems are all k x k.
     """
-    total = 1 << n
     order, free = _by_free_count(n)
-    for lo in range(0, total, _CHUNK):
-        chunk = order[lo : lo + _CHUNK]
-        k = free[lo : lo + _CHUNK]
-        kmax = int(k[-1])
-        active = ((chunk[:, None] >> np.arange(n)) & 1).astype(bool)
-        # The free indices in increasing order, then the fixed ones (z_S = 0);
-        # a system's columns past its own k are padding.
-        cols = np.argsort(active, axis=1, kind="stable")[:, :kmax]
-        mats = m.take(cols[:, :, None] * n + cols[:, None, :])
-        rhs = -q[cols]
-        if k[0] < kmax:
-            valid = np.arange(kmax) < k[:, None]
-            # M is finite (see _reduction), so masking by a product is exact.
-            mats *= valid[:, :, None] & valid[:, None, :]
-            scale = np.abs(mats).max(axis=(1, 2))
-            scale[k == 0] = 1.0
-            diag = np.arange(kmax)
-            mats[:, diag, diag] = np.where(valid, mats[:, diag, diag], scale[:, None])
-            rhs = np.where(valid, rhs, 0.0)
-        z, singular = solve_linear_batch(mats, rhs)
-        zfull = np.zeros((len(chunk), n))
-        np.put_along_axis(zfull, cols, z, axis=1)
-        yield chunk, (zfull + d) @ p.T, singular
+    bounds = np.searchsorted(free, np.arange(n + 2))
+    bit = 1 << np.arange(n)
+    for k in range(n + 1):
+        for lo in range(bounds[k], bounds[k + 1], _CHUNK):
+            chunk = order[lo : min(lo + _CHUNK, bounds[k + 1])]
+            # Each set's free indices, in increasing order; the fixed ones have z_S = 0.
+            cols = np.nonzero((chunk[:, None] & bit) == 0)[1].reshape(len(chunk), k)
+            mats = m.take(cols[:, :, None] * n + cols[:, None, :])
+            z, singular = solve_linear_batch(mats, -q[cols])
+            zfull = np.zeros((len(chunk), n))
+            np.put_along_axis(zfull, cols, z, axis=1)
+            yield chunk, (zfull + d) @ p.T, singular
 
 
-def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleResult:
-    """Enumerate every solution of an affine instance with n <= n_max (<= 16)."""
+def enumerate_solutions(inst: IcpInstance) -> OracleResult:
+    """Enumerate every solution of an affine instance with n <= ORACLE_N_CAP."""
     c, d = _affine_parts(inst)
     n = inst.n
-    cap = min(int(n_max), ORACLE_N_CAP)
-    if n > cap:
-        raise ValueError(f"oracle handles n <= {cap}, got n = {n}")
+    if n > ORACLE_N_CAP:
+        raise ValueError(f"oracle handles n <= {ORACLE_N_CAP}, got n = {n}")
 
     ic = np.eye(n) - c
     total = 1 << n
-    # One chunk pads every reduced system back to n x n and saves nothing.
+    # Within one chunk the full path's single batched call is faster than the
+    # reduced path's n + 1 calls, one per system size.
     reduction = _reduction(inst, ic, d) if total > _CHUNK else None
     if reduction is None:
         batches = _full_batches(inst, ic, d)
@@ -288,7 +275,7 @@ def enumerate_solutions(inst: IcpInstance, n_max: int = ORACLE_N_CAP) -> OracleR
     )
 
 
-def certify(inst: IcpInstance, r: np.ndarray, n_max: int = ORACLE_N_CAP) -> bool:
+def certify(inst: IcpInstance, r: np.ndarray) -> bool:
     """True iff r lies within DEDUP_RADIUS (inf-norm) of an enumerated solution.
 
     A solution whose subsystems are all singular is never enumerated, so a
@@ -298,11 +285,10 @@ def certify(inst: IcpInstance, r: np.ndarray, n_max: int = ORACLE_N_CAP) -> bool
     r = np.asarray(r, dtype=float)
     if r.shape != (inst.n,):
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, point shape {r.shape}")
-    result = enumerate_solutions(inst, n_max=n_max)
-    index = _SolutionIndex(inst.n)
-    for sol in result.solutions:
-        index.add(sol)
-    if index.find(r) is not None:
+    result = enumerate_solutions(inst)
+    # A non-finite r is never within DEDUP_RADIUS: its distances are nan or inf.
+    sols = np.reshape(result.solutions, (-1, inst.n))
+    if np.any(np.max(np.abs(sols - r), axis=1) <= DEDUP_RADIUS):
         return True
     if result.singular_skipped:
         raise ValueError(

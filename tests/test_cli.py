@@ -180,6 +180,20 @@ def test_verify_parse_error_and_usage(tmp_path):
     assert main(["verify", "--deltas", "sigmoid", "--gen", "1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_invalid_tolerance(tol, capsys):
+    assert main(["verify", "--gen", "1", "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_rejects_scalings_below_one(count, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--gen", "1", "--scalings", count, "--out-path", str(out)]) == 2
+    assert "--scalings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_generated_corpus_json_rows(tmp_path):
     out = tmp_path / "rows.json"
     rc = main([

@@ -49,6 +49,12 @@ def test_solve_linear_batch_matches_numpy(seed):
     assert np.allclose(got, expected, atol=1e-12, rtol=1e-12)
 
 
+def test_solve_linear_batch_accepts_empty_systems():
+    x, singular = solve_linear_batch(np.zeros((3, 0, 0)), np.zeros((3, 0)))
+    assert x.shape == (3, 0)
+    assert singular.tolist() == [False, False, False]
+
+
 def test_solve_linear_batch_flags_singular_rows_only():
     good = np.array([[2.0, 0.0], [0.0, 2.0]])
     bad = np.array([[1.0, 2.0], [2.0, 4.0]])

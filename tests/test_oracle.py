@@ -57,6 +57,8 @@ def test_certify_round_trip_and_perturbation():
     for sol in result.solutions:
         assert certify(inst, sol)
     assert not certify(inst, result.solutions[0] + np.array([0.1, 0.0]))
+    for bad in (np.nan, np.inf):
+        assert not certify(inst, np.array([1.0, bad]))
 
 
 def test_certify_is_undecided_when_singular_subsystems_were_skipped():
@@ -76,9 +78,6 @@ def test_size_cap_and_preconditions():
     big = IcpInstance(A=np.eye(20), b=np.ones(20), f=ZeroMap())
     with pytest.raises(ValueError):
         enumerate_solutions(big)
-    small = IcpInstance(A=np.eye(2), b=np.ones(2), f=ZeroMap())
-    with pytest.raises(ValueError):
-        enumerate_solutions(small, n_max=1)
 
     class OpaqueMap(ZeroMap):
         def affine_parts(self, n):
@@ -190,14 +189,20 @@ def test_solution_index_matches_linear_first_match(case):
             stored = np.vstack([stored, x])
 
 
-def test_many_isolated_solutions_match_closed_form():
+@pytest.mark.parametrize("chunk", [512, 7])
+def test_many_isolated_solutions_match_closed_form(chunk, monkeypatch):
     # A = -diag(u), b = v, f = 0 with u, v > 0: index set s forces r_i = 0 when
     # bit i is set (H_i = 0) and r_i = v_i / u_i otherwise (F_i = 0), so every
     # one of the 2^n index sets gives its own isolated, non-degenerate solution.
+    # Every |Sbar| group must be visited; with chunks of 7 each group of more
+    # than 7 sets spans several chunks.
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
     n = 10
     rng = np.random.default_rng(7)
     u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
-    result = enumerate_solutions(IcpInstance(A=-np.diag(u), b=v, f=ZeroMap()))
+    inst = IcpInstance(A=-np.diag(u), b=v, f=ZeroMap())
+    assert reduces(inst)
+    result = enumerate_solutions(inst)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     expected = np.where(bits == 1, 0.0, v / u)
     assert len(result.solutions) == 1 << n
