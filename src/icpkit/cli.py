@@ -293,85 +293,95 @@ def _verify_unit(
     with_solver: bool,
 ) -> tuple[list[ResultRow], list[str]]:
     inst = unit.instance
-    rows: list[ResultRow] = []
     points, failures = _collect_points(unit, with_solver)
+    if not points:
+        return [], failures
     scalings = _draw_scalings(inst.n, scaling_count, index)
     tol_cfg = ToleranceConfig(feas_tol=tol, comp_tol=tol, resid_tol=tol)
+    # Each formulation is evaluated once over the stack of all points, row by
+    # row, and its time is split evenly among the points' rows.
+    stack = np.array([point for _, point, _ in points])
+    ms_per_point = 1e3 / len(points)
 
-    for source, point, iters in points:
+    start = time.perf_counter()
+    natural = natural_residual(inst, stack)
+    natural_ms = (time.perf_counter() - start) * ms_per_point
+    natural_norm = np.max(np.abs(natural), axis=1)
+    solution = is_solution(inst, stack, tol_cfg)
+    h_scale = np.max(np.abs(evaluate_H(inst, stack)), axis=1)
+    f_scale = np.max(np.abs(evaluate_F(inst, stack)), axis=1)
+    natural_zero_comp = np.abs(natural) <= COMPONENT_ZERO_TOL
+
+    start = time.perf_counter()
+    scaled_worst = np.zeros(len(points))
+    scaled_checks = []
+    for omega1, omega2 in scalings:
+        scaled = np.abs(scaled_residual(inst, stack, omega1, omega2))
+        scaled_norm = np.max(scaled, axis=1)
+        # As max(worst, norm) in Python: a nan norm never replaces the worst.
+        scaled_worst = np.where(scaled_norm > scaled_worst, scaled_norm, scaled_worst)
+        entry_max = np.maximum(omega1.diag, omega2.diag)
+        entry_min = np.minimum(omega1.diag, omega2.diag)
+        # Componentwise zero-set equality, rendered as the two one-sided
+        # implications that hold for every positive scaling pair: a zero
+        # R_i forces |Rbar_i| under the larger entry's threshold, and an
+        # |Rbar_i| under the smaller entry's threshold forces R_i zero.
+        # In between the scaling ratio alone decides, so nothing is claimed.
+        forward_bad = natural_zero_comp & (scaled > COMPONENT_ZERO_TOL * entry_max * (1.0 + 1e-12))
+        reverse_bad = ~natural_zero_comp & (scaled <= COMPONENT_ZERO_TOL * entry_min * (1.0 - 1e-12))
+        too_large = scaled_norm > tol * float(entry_max.max())
+        zero_differs = (scaled_norm == 0.0) != (natural_norm == 0.0)
+        scaled_checks.append((scaled_norm, too_large, zero_differs, np.any(forward_bad | reverse_bad, axis=1)))
+    scaled_ms = (time.perf_counter() - start) * ms_per_point
+
+    delta_norms = []
+    for name in delta_names:
         start = time.perf_counter()
-        natural = natural_residual(inst, point)
-        natural_ms = (time.perf_counter() - start) * 1e3
-        natural_norm = float(np.max(np.abs(natural)))
-        solution = is_solution(inst, point, tol_cfg)
+        g = delta_residual(inst, stack, DELTA_CATALOG[name])
+        delta_ms = (time.perf_counter() - start) * ms_per_point
+        delta_norms.append((name, np.max(np.abs(g), axis=1), delta_ms))
+
+    rows: list[ResultRow] = []
+    for k, (source, _, iters) in enumerate(points):
+        norm, is_sol = float(natural_norm[k]), bool(solution[k])
         label = f"{unit.instance_id}/{source}"
         # One evaluation roundoff of the delta formulation; it bounds how large
         # |R| can be at a point where G still evaluates to exactly zero.
-        h_scale = float(np.max(np.abs(evaluate_H(inst, point))))
-        f_scale = float(np.max(np.abs(evaluate_F(inst, point))))
-        roundoff = 4.0 * np.finfo(float).eps * max(1.0, h_scale, f_scale)
+        roundoff = 4.0 * np.finfo(float).eps * max(1.0, float(h_scale[k]), float(f_scale[k]))
 
-        rows.append(
-            ResultRow(unit.instance_id, inst.n, "R", source, natural_norm, solution, iters, natural_ms)
-        )
+        rows.append(ResultRow(unit.instance_id, inst.n, "R", source, norm, is_sol, iters, natural_ms))
         if source in ("planted", "oracle"):
-            if not solution:
+            if not is_sol:
                 failures.append(f"{label}: expected a solution, is_solution is false")
-            if natural_norm > tol:
-                failures.append(f"{label}: |R| = {natural_norm:.3e} exceeds {tol:.1e}")
-        elif source == "perturbed" and not solution and natural_norm <= tol:
-            failures.append(f"{label}: non-solution with |R| = {natural_norm:.3e} <= {tol:.1e}")
+            if norm > tol:
+                failures.append(f"{label}: |R| = {norm:.3e} exceeds {tol:.1e}")
+        elif source == "perturbed" and not is_sol and norm <= tol:
+            failures.append(f"{label}: non-solution with |R| = {norm:.3e} <= {tol:.1e}")
 
-        natural_zero = natural_norm == 0.0
-        natural_zero_comp = np.abs(natural) <= COMPONENT_ZERO_TOL
-
-        start = time.perf_counter()
-        scaled_worst = 0.0
-        for omega1, omega2 in scalings:
-            scaled = scaled_residual(inst, point, omega1, omega2)
-            scaled_norm = float(np.max(np.abs(scaled)))
-            scaled_worst = max(scaled_worst, scaled_norm)
-            entry_max = np.maximum(omega1.diag, omega2.diag)
-            entry_min = np.minimum(omega1.diag, omega2.diag)
-            if source in ("planted", "oracle") and scaled_norm > tol * float(entry_max.max()):
-                failures.append(f"{label}: scaled residual {scaled_norm:.3e} too large")
-            if (scaled_norm == 0.0) != natural_zero:
+        for scaled_norm, too_large, zero_differs, comp_differs in scaled_checks:
+            if source in ("planted", "oracle") and too_large[k]:
+                failures.append(f"{label}: scaled residual {float(scaled_norm[k]):.3e} too large")
+            if zero_differs[k]:
                 failures.append(f"{label}: exact-zero disagreement between R and Rbar")
-            # Componentwise zero-set equality, rendered as the two one-sided
-            # implications that hold for every positive scaling pair: a zero
-            # R_i forces |Rbar_i| under the larger entry's threshold, and an
-            # |Rbar_i| under the smaller entry's threshold forces R_i zero.
-            # In between the scaling ratio alone decides, so nothing is claimed.
-            forward_bad = natural_zero_comp & (
-                np.abs(scaled) > COMPONENT_ZERO_TOL * entry_max * (1.0 + 1e-12)
-            )
-            reverse_bad = ~natural_zero_comp & (
-                np.abs(scaled) <= COMPONENT_ZERO_TOL * entry_min * (1.0 - 1e-12)
-            )
-            if forward_bad.any() or reverse_bad.any():
+            if comp_differs[k]:
                 failures.append(f"{label}: componentwise zero sets of R and Rbar differ")
-        scaled_ms = (time.perf_counter() - start) * 1e3
         rows.append(
-            ResultRow(unit.instance_id, inst.n, "Rbar", source, scaled_worst, solution, iters, scaled_ms)
+            ResultRow(unit.instance_id, inst.n, "Rbar", source, float(scaled_worst[k]), is_sol, iters, scaled_ms)
         )
 
-        for name in delta_names:
-            delta = DELTA_CATALOG[name]
-            start = time.perf_counter()
-            g = delta_residual(inst, point, delta)
-            delta_ms = (time.perf_counter() - start) * 1e3
-            g_norm = float(np.max(np.abs(g)))
+        for name, g_norms, delta_ms in delta_norms:
+            g_norm = float(g_norms[k])
             if source in ("planted", "oracle") and g_norm > DELTA_SOLUTION_TOL:
                 failures.append(f"{label}: delta residual ({name}) {g_norm:.3e} too large")
             # Zero-set agreement: an exact zero of R forces an exact zero of G;
             # the converse holds up to the evaluation roundoff of G (its three
             # delta calls can absorb a sub-ulp complementarity violation).
-            if natural_zero and g_norm != 0.0:
+            if norm == 0.0 and g_norm != 0.0:
                 failures.append(f"{label}: R is exactly zero but G:{name} is not")
-            if g_norm == 0.0 and natural_norm > roundoff:
-                failures.append(f"{label}: G:{name} is exactly zero but |R| = {natural_norm:.3e}")
+            if g_norm == 0.0 and norm > roundoff:
+                failures.append(f"{label}: G:{name} is exactly zero but |R| = {norm:.3e}")
             rows.append(
-                ResultRow(unit.instance_id, inst.n, f"G:{name}", source, g_norm, solution, iters, delta_ms)
+                ResultRow(unit.instance_id, inst.n, f"G:{name}", source, g_norm, is_sol, iters, delta_ms)
             )
     return rows, failures
 
@@ -552,11 +562,14 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--active-fraction", type=float, default=0.5)
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def count(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,11 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the residual-equivalence campaign")
     p_verify.add_argument("paths", nargs="*", help="instance files")
-    p_verify.add_argument("--gen", type=int, default=0, metavar="COUNT", help="also verify COUNT generated instances")
+    p_verify.add_argument("--gen", type=_int_at_least(0), default=0, metavar="COUNT", help="also verify COUNT generated instances")
     _add_spec_flags(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-10, help="solution-point residual tolerance")
     p_verify.add_argument("--deltas", default="identity,cubic,tanh,asinh")
-    p_verify.add_argument("--scalings", type=_positive_int, default=3, help="random scaling pairs per instance")
+    p_verify.add_argument("--scalings", type=_int_at_least(1), default=3, help="random scaling pairs per instance")
     p_verify.add_argument("--solver", action="store_true", help="also report the solver end point")
     p_verify.add_argument("--out", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--out-path", default="-", help="output file, '-' for stdout")

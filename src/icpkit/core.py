@@ -21,10 +21,10 @@ from .linalg import as_matrix, as_vector
 class ImplicitMap:
     """Evaluation contract for the implicit term f.
 
-    Implementations must be deterministic and return a finite vector of the
-    input's shape for every finite input.  ``affine_parts(n)`` returns (C, d)
-    with f(r) = C r + d when the map is affine, else None; the enumeration
-    oracle only supports affine maps.
+    Implementations must be deterministic and return a finite array of the
+    input's shape for every finite input, a point (n,) or a stack (p, n).
+    ``affine_parts(n)`` returns (C, d) with f(r) = C r + d when the map is
+    affine, else None; the enumeration oracle only supports affine maps.
     """
 
     tag = "abstract"
@@ -71,9 +71,9 @@ class AffineMap(ImplicitMap):
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if r.shape != self.d.shape:
+        if r.shape[-1:] != self.d.shape:
             raise ValueError(f"dimension mismatch: map dim {self.dim}, point {r.shape}")
-        return self.C @ r + self.d
+        return np.matmul(self.C, r[..., None])[..., 0] + self.d
 
     def affine_parts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n != self.dim:
@@ -127,22 +127,25 @@ class IcpInstance:
         return self.b.shape[0]
 
     def _point(self, r) -> np.ndarray:
+        """r as a float array of shape (n,), one point, or (p, n), a stack of p points."""
         r = np.asarray(r, dtype=float)
-        if r.shape != (self.n,):
+        if r.ndim not in (1, 2) or r.shape[-1] != self.n:
             raise ValueError(f"dimension mismatch: instance dim {self.n}, point shape {r.shape}")
         return r
 
 
 def evaluate_H(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
-    """H(r) = r - f(r)."""
+    """H(r) = r - f(r), for a point or row by row for a stack."""
     r = inst._point(r)
     return r - inst.f.evaluate(r)
 
 
 def evaluate_F(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
-    """F(r) = A r + b."""
+    """F(r) = A r + b, for a point or row by row for a stack."""
     r = inst._point(r)
-    return inst.A @ r + inst.b
+    # Every row of a stack runs the matrix-vector kernel of a single point,
+    # so each row of the result is bit-identical to the per-point call.
+    return np.matmul(inst.A, r[..., None])[..., 0] + inst.b
 
 
 @dataclass(frozen=True)
@@ -151,16 +154,18 @@ class SolutionCheck:
 
     min_h / min_f are the smallest components of H and F (most negative means
     worst feasibility), max_comp the largest |H_i * F_i|; the *_index fields
-    point at the offending component.  Truthiness mirrors ``ok``.
+    point at the offending component.  For one point the fields are bool,
+    float and int, and truthiness mirrors ``ok``.  For a stack of p points
+    each field is an array of length p whose k-th entry describes row k.
     """
 
-    ok: bool
-    min_h: float
-    min_h_index: int
-    min_f: float
-    min_f_index: int
-    max_comp: float
-    max_comp_index: int
+    ok: bool | np.ndarray
+    min_h: float | np.ndarray
+    min_h_index: int | np.ndarray
+    min_f: float | np.ndarray
+    min_f_index: int | np.ndarray
+    max_comp: float | np.ndarray
+    max_comp_index: int | np.ndarray
 
     def __bool__(self) -> bool:
         return self.ok
@@ -172,27 +177,24 @@ def check_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFA
     Complementarity is checked componentwise rather than through the inner
     product H^T F: the two are equivalent for exact nonnegative solutions, and
     the componentwise form cannot hide a violation behind sign cancellation.
+    r is one point (n,) or a stack (p, n), tested row by row.
     """
     h = evaluate_H(inst, r)
     f = evaluate_F(inst, r)
     comp = np.abs(h * f)
-    i_h = int(np.argmin(h))
-    i_f = int(np.argmin(f))
-    i_c = int(np.argmax(comp))
-    ok = bool(
-        h[i_h] >= -tol.feas_tol and f[i_f] >= -tol.feas_tol and comp[i_c] <= tol.comp_tol
+    i_h = np.argmin(h, axis=-1)
+    i_f = np.argmin(f, axis=-1)
+    i_c = np.argmax(comp, axis=-1)
+    min_h, min_f, max_comp = (
+        np.take_along_axis(v, i[..., None], axis=-1)[..., 0] for v, i in ((h, i_h), (f, i_f), (comp, i_c))
     )
-    return SolutionCheck(
-        ok=ok,
-        min_h=float(h[i_h]),
-        min_h_index=i_h,
-        min_f=float(f[i_f]),
-        min_f_index=i_f,
-        max_comp=float(comp[i_c]),
-        max_comp_index=i_c,
-    )
+    ok = (min_h >= -tol.feas_tol) & (min_f >= -tol.feas_tol) & (max_comp <= tol.comp_tol)
+    fields = (ok, min_h, i_h, min_f, i_f, max_comp, i_c)
+    if h.ndim == 1:
+        fields = tuple(v.item() for v in fields)
+    return SolutionCheck(*fields)
 
 
-def is_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Boolean view of check_solution."""
+def is_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool | np.ndarray:
+    """Boolean view of check_solution: a bool for one point, a bool array for a stack."""
     return check_solution(inst, r, tol).ok

@@ -124,7 +124,7 @@ class DiagonalScaling:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != self.diag.shape:
+        if v.shape[-1:] != self.diag.shape:
             raise ValueError(f"dimension mismatch: scaling {self.diag.shape} applied to {v.shape}")
         return self.diag * v
 

@@ -18,9 +18,9 @@ grouped by |Sbar|, and each chunk solves systems of one size only.  The full
 n x n path runs otherwise: for n <= 9, where its one batched call beats the
 n + 1 calls of the grouped sizes, and when I - C fails the pivot test or is
 too ill-conditioned for the rebuilt r to meet the oracle tolerances (see
-_ROUNDING_SHARE).  Both paths feed the same feasibility filter, dedup and
-scalar re-test, in index-set order.  They agree within DEDUP_RADIUS, not bit
-for bit: the same solutions in the same order with the same degenerate flags,
+_ROUNDING_SHARE).  Both paths feed the same feasibility filter, re-test and
+dedup, in index-set order.  They agree within DEDUP_RADIUS, not bit for
+bit: the same solutions in the same order with the same degenerate flags,
 and the same singular_skipped unless a near-singular subsystem's pivot falls
 on different sides of the threshold in the two forms.
 """
@@ -247,19 +247,21 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     points = np.concatenate(found_points)[order]
     tight = np.concatenate(found_tight)[order].tolist()
 
+    # Re-test through check_solution, whose rows match its single-point
+    # calls bit for bit, so every reported solution passes it verbatim.
+    passed = check_solution(inst, points, ORACLE_TOL).ok.tolist()
+
     solutions: list[np.ndarray] = []
     flags: list[bool] = []
     hits: list[int] = []
     index = _SolutionIndex(n)
-    for point, is_tight in zip(points, tight):
+    for point, is_tight, ok in zip(points, tight, passed):
         k = index.find(point)
         if k is not None:
             hits[k] += 1
             flags[k] = flags[k] or is_tight or hits[k] > 1
             continue
-        # Re-test through the scalar path so every reported solution
-        # passes check_solution verbatim, not just the batched filter.
-        if not check_solution(inst, point, ORACLE_TOL).ok:
+        if not ok:
             continue
         point = point.copy()
         index.add(point)

@@ -14,6 +14,9 @@ Three equivalent reformulations of the complementarity system are provided:
 
 The map  s_map(r) = (H(r) - F(r))_+  equals H(r) - R(r) and coincides with
 H(r) exactly at solutions.
+
+Every map takes a point (n,) or a stack (p, n); each row of a stacked result
+is bit-identical to the single-point call.
 """
 
 from __future__ import annotations

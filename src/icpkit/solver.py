@@ -49,8 +49,8 @@ class SolverConfig:
             raise ValueError(f"relaxation must lie in (0, 2], got {self.relaxation}")
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (float(self.resid_tol) > 0.0):
-            raise ValueError(f"resid_tol must be > 0, got {self.resid_tol}")
+        if not (0.0 < float(self.resid_tol) < np.inf):
+            raise ValueError(f"resid_tol must be finite and > 0, got {self.resid_tol}")
         object.__setattr__(self, "relaxation", float(self.relaxation))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "resid_tol", float(self.resid_tol))

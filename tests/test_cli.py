@@ -8,15 +8,19 @@ import pytest
 
 from icpkit.cli import (
     RESULT_COLUMNS,
+    LoadedInstance,
+    _collect_points,
+    _draw_scalings,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     main,
+    run_verification,
     save_instance,
 )
-from icpkit.core import AffineMap, IcpInstance, ZeroMap
-from icpkit.generator import GeneratorSpec, generate_planted
-from icpkit.residuals import natural_residual
+from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
+from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
+from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 
 
 def gen_args(path, seed=7, n=4, f_family="contractive_affine", active=0.5):
@@ -194,6 +198,51 @@ def test_verify_rejects_scalings_below_one(count, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_rejects_negative_gen_count(tmp_path, capsys):
+    p = tmp_path / "inst.json"
+    assert main(gen_args(p)) == 0
+    out = tmp_path / "rows.csv"
+    assert main(["verify", str(p), "--gen", "-2", "--out-path", str(out)]) == 2
+    assert "--gen" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stacked_campaign_matches_per_point_calls():
+    # The campaign evaluates each formulation once over all points of an
+    # instance; every row must equal the single-point evaluation bit for bit.
+    units = []
+    for matrix_family in MATRIX_FAMILIES:
+        for f_family in F_FAMILIES:
+            spec = GeneratorSpec(n=5, seed=len(units), matrix_family=matrix_family, f_family=f_family,
+                                 gamma=0.5, active_fraction=0.5)
+            inst, planted, _ = generate_planted(spec)
+            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
+    tol = 1e-10
+    rows, _ = run_verification(units, tol, list(DELTA_CATALOG), scaling_count=3, with_solver=True)
+
+    expected = []
+    for index, unit in enumerate(units):
+        inst = unit.instance
+        points, _ = _collect_points(unit, with_solver=True)
+        for source, point, iters in points:
+            solution = is_solution(inst, point, ToleranceConfig(tol, tol, tol))
+            norms = [float(np.max(np.abs(natural_residual(inst, point))))]
+            worst = 0.0
+            for omega1, omega2 in _draw_scalings(inst.n, 3, index):
+                worst = max(worst, float(np.max(np.abs(scaled_residual(inst, point, omega1, omega2)))))
+            norms.append(worst)
+            norms += [float(np.max(np.abs(delta_residual(inst, point, d)))) for d in DELTA_CATALOG.values()]
+            expected += [(unit.instance_id, source, iters, np.float64(x).tobytes(), solution) for x in norms]
+
+    assert {row.point_source for row in rows} == {"planted", "oracle", "perturbed", "solver"}
+    assert all(type(row.residual_inf) is float and type(row.is_solution) is bool for row in rows)
+    got = [
+        (row.instance_id, row.point_source, row.iterations, np.float64(row.residual_inf).tobytes(), row.is_solution)
+        for row in rows
+    ]
+    assert got == expected
+
+
 def test_verify_generated_corpus_json_rows(tmp_path):
     out = tmp_path / "rows.json"
     rc = main([
@@ -276,6 +325,17 @@ def test_solve_overrelaxed_dense_instance_exits_one(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert report["status"] in ("diverged", "max_iters_reached")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_rejects_non_finite_tolerance(tol, tmp_path, capsys):
+    # With --tol inf the stop test passed at iteration 0 on a non-solution.
+    p = tmp_path / "inst.json"
+    assert main(["gen", "--n", "3", "--seed", "1", "--out", str(p)]) == 0
+    assert main(["solve", str(p), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resid_tol")
 
 
 def test_solve_bad_inputs(tmp_path):
