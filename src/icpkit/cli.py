@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -76,6 +76,8 @@ def _reject_constant(token: str):
 
 
 def _number_list(doc, key: str, length: int) -> np.ndarray:
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
     values = doc[key]
     if not isinstance(values, list) or len(values) != length:
         raise ValueError(f"field {key!r} must be a list of {length} numbers")
@@ -297,7 +299,7 @@ def _verify_unit(
     if not points:
         return [], failures
     scalings = _draw_scalings(inst.n, scaling_count, index)
-    tol_cfg = ToleranceConfig(feas_tol=tol, comp_tol=tol, resid_tol=tol)
+    tol_cfg = ToleranceConfig(feas_tol=tol, comp_tol=tol)
     # Each formulation is evaluated once over the stack of all points, row by
     # row, and its time is split evenly among the points' rows.
     stack = np.array([point for _, point, _ in points])
@@ -419,16 +421,7 @@ def _spec_from_args(args) -> GeneratorSpec:
 
 
 def _spec_echo(spec: GeneratorSpec, active_set: tuple[int, ...]) -> dict:
-    return {
-        "n": spec.n,
-        "seed": spec.seed,
-        "matrix_family": spec.matrix_family,
-        "f_family": spec.f_family,
-        "gamma": spec.gamma,
-        "active_fraction": spec.active_fraction,
-        "rng": RNG_STREAM_ID,
-        "active_set": list(active_set),
-    }
+    return {**asdict(spec), "rng": RNG_STREAM_ID, "active_set": list(active_set)}
 
 
 def cmd_gen(args) -> int:
@@ -470,7 +463,7 @@ def cmd_solve(args) -> int:
             resid_tol=args.tol,
         )
         start = _parse_start(args.start, inst.n)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = projection_iterate(inst, start, cfg)
@@ -489,7 +482,7 @@ def cmd_oracle(args) -> int:
     try:
         unit = load_instance(args.path)
         result = enumerate_solutions(unit.instance)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = {
@@ -522,7 +515,7 @@ def cmd_verify(args) -> int:
                 spec = replace(base, seed=base.seed + offset)
                 inst, planted, _ = generate_planted(spec)
                 units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not units:

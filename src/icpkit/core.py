@@ -85,16 +85,14 @@ class AffineMap(ImplicitMap):
 class ToleranceConfig:
     """Slack for the numeric solution test; all fields nonnegative.
 
-    feas_tol bounds how negative H or F may go, comp_tol bounds |H_i * F_i|,
-    and resid_tol is the residual-norm threshold used by solver stop tests.
+    feas_tol bounds how negative H or F may go and comp_tol bounds |H_i * F_i|.
     """
 
     feas_tol: float = 1e-10
     comp_tol: float = 1e-10
-    resid_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("feas_tol", "comp_tol", "resid_tol"):
+        for name in ("feas_tol", "comp_tol"):
             value = float(getattr(self, name))
             if not (value >= 0.0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")

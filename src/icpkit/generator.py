@@ -46,6 +46,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if int(self.n) < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.matrix_family not in MATRIX_FAMILIES:
             raise ValueError(f"unknown matrix family {self.matrix_family!r}")
         if self.f_family not in F_FAMILIES:

@@ -23,12 +23,17 @@ dedup, in index-set order.  They agree within DEDUP_RADIUS, not bit for
 bit: the same solutions in the same order with the same degenerate flags,
 and the same singular_skipped unless a near-singular subsystem's pivot falls
 on different sides of the threshold in the two forms.
+
+The dedup (_merge) is one pass over the whole candidate array: one sort of
+the scalar keys w.x gives each candidate a window of candidates, and only the
+window members already taken as solutions are compared with it in the
+inf-norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -68,67 +73,50 @@ class OracleResult:
     subsets_tested: int
 
 
-class _SolutionIndex:
-    """Stored points bucketed by one scalar key, for the DEDUP_RADIUS lookup.
+def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[list[np.ndarray], list[bool]]:
+    """First-match dedup of the candidate rows of points, in order.
 
-    The key of x is floor(w.x / width), with fixed positive weights w and
-    width = ||w||_1 * DEDUP_RADIUS.  Two points within DEDUP_RADIUS of each
-    other in the inf-norm have w.x at most one width apart, so their exact
-    keys differ by at most one.  The computed w.x carries a rounding error
-    that grows with |x|; a lookup widens its bucket window by a bound on that
-    error, and scans every stored point instead when that bound exceeds the
-    number of buckets (far from the origin, or for a non-finite x).
+    A candidate within DEDUP_RADIUS (inf-norm) of a solution taken before it
+    merges into the lowest-indexed such solution and flags it degenerate,
+    since that solution is then reached from more than one index set.  Any
+    other candidate becomes a new solution, flagged when tight, if it passed
+    the re-test.  Only solutions whose key w.x lies within a window of the
+    candidate's key are tested, with fixed positive weights w.
     """
+    n = points.shape[1]
+    # Random weights in [1, 2] keep the points of integer grids, such as
+    # {0, 1}^n, from sharing keys.
+    w = np.random.default_rng(0).uniform(1.0, 2.0, n)
+    width = float(w.sum()) * DEDUP_RADIUS
+    t = points @ w
+    # Points within DEDUP_RADIUS of x have exact keys at most width from w.x.
+    # Rounding in the two computed keys and in t -/+ half adds at most about
+    # (n + 1) u (2 w.|x| + width), u = eps / 2, and half is more than twice
+    # that total.  Summing over 2 w makes half inf once w.|x| passes half the
+    # largest float, and then every solution is tested; that also covers any
+    # point near x whose own key overflowed or is nan.
+    half = 2.0 * width + (n + 2) * np.finfo(float).eps * (np.abs(points) @ (2.0 * w) + 2.0 * width)
+    order = np.argsort(t, kind="stable")
+    lo = np.searchsorted(t[order], t - half).tolist()
+    hi = np.searchsorted(t[order], t + half, side="right").tolist()
+    wide = (~np.isfinite(half)).tolist()
+    order = order.tolist()
 
-    def __init__(self, n: int):
-        # Random weights in [1, 2] keep the points of integer grids, such as
-        # {0, 1}^n, from sharing buckets.
-        self._w = np.random.default_rng(0).uniform(1.0, 2.0, n)
-        self._width = float(self._w.sum()) * DEDUP_RADIUS
-        # For y within DEDUP_RADIUS of x, rounding in w.x, w.y and the division
-        # moves t(x) - t(y) by at most about (n + 1) u (2 w.|x| / width + 3),
-        # u = eps / 2; reach is twice that, in buckets.
-        self._err = 2.0 * (n + 2) * np.finfo(float).eps
-        self._points = np.empty((16, n))
-        self._buckets: dict[int, list[int]] = {}
-        self._size = 0
-
-    def _key(self, x: np.ndarray) -> tuple[float, float]:
-        """w.x / width, and the bound on its rounding error, in buckets."""
-        t = float(self._w @ x) / self._width
-        reach = self._err * (float(self._w @ np.abs(x)) / self._width + 1.0)
-        return t, reach
-
-    def find(self, x: np.ndarray) -> int | None:
-        """Lowest index of a stored point within DEDUP_RADIUS of x (inf-norm)."""
-        t, reach = self._key(x)
-        if math.isfinite(t) and reach < len(self._buckets):
-            k = math.floor(t)
-            # |t(x) - t(y)| <= 1 + reach, so the keys differ by at most
-            # 1 + ceil(reach) <= 2 + int(reach).
-            m = 2 + int(reach)
-            cand = [i for j in range(k - m, k + m + 1) for i in self._buckets.get(j, ())]
-            if not cand:
-                return None
-            cand = np.array(cand)
-        else:
-            cand = np.arange(self._size)
-        near = np.max(np.abs(self._points[cand] - x), axis=1) <= DEDUP_RADIUS
-        return int(cand[near].min()) if near.any() else None
-
-    def add(self, x: np.ndarray) -> int:
-        """Store x and return its index."""
-        i = self._size
-        if i == len(self._points):
-            self._points = np.concatenate([self._points, np.empty_like(self._points)])
-        self._points[i] = x
-        self._size += 1
-        t, _ = self._key(x)
-        # A non-finite key means |x| near overflow; any query within
-        # DEDUP_RADIUS of x then has an infinite reach and scans every point.
-        if math.isfinite(t):
-            self._buckets.setdefault(math.floor(t), []).append(i)
-        return i
+    owner = [-1] * len(points)  # solution index of each candidate taken as one
+    solutions: list[np.ndarray] = []
+    flags: list[bool] = []
+    for j, x in enumerate(points):
+        cand = [i for i in (range(j) if wide[j] else order[lo[j] : hi[j]]) if owner[i] >= 0]
+        if cand:
+            near = np.max(np.abs(points[cand] - x), axis=1) <= DEDUP_RADIUS
+            if near.any():
+                flags[min(owner[i] for i in compress(cand, near))] = True
+                continue
+        if passed[j]:
+            owner[j] = len(solutions)
+            solutions.append(x.copy())
+            flags.append(tight[j])
+    return solutions, flags
 
 
 def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -251,23 +239,7 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     # calls bit for bit, so every reported solution passes it verbatim.
     passed = check_solution(inst, points, ORACLE_TOL).ok.tolist()
 
-    solutions: list[np.ndarray] = []
-    flags: list[bool] = []
-    hits: list[int] = []
-    index = _SolutionIndex(n)
-    for point, is_tight, ok in zip(points, tight, passed):
-        k = index.find(point)
-        if k is not None:
-            hits[k] += 1
-            flags[k] = flags[k] or is_tight or hits[k] > 1
-            continue
-        if not ok:
-            continue
-        point = point.copy()
-        index.add(point)
-        solutions.append(point)
-        flags.append(is_tight)
-        hits.append(1)
+    solutions, flags = _merge(points, tight, passed)
 
     return OracleResult(
         solutions=solutions,

@@ -52,6 +52,14 @@ def test_gen_rejects_invalid_spec(tmp_path):
     assert main(gen_args(tmp_path / "x.json", n=0)) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "--n", "3", "--out"], ["verify", "--gen", "1", "--out-path"]])
+def test_negative_seed_is_named(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 def test_round_trip_preserves_residuals(tmp_path):
     spec = GeneratorSpec(n=6, seed=3, matrix_family="dense", f_family="contractive_affine",
                          gamma=0.6, active_fraction=0.5)
@@ -90,6 +98,18 @@ def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, capsys, comman
     huge.write_text('{"n": 1, "A": [1' + "0" * 400 + '], "b": [0.0], "f": {"type": "zero"}}')
     assert main([command, str(huge)]) == 2
     assert "error: field 'A'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+@pytest.mark.parametrize("field", ["A", "b", "C", "d"])
+def test_missing_field_is_named(tmp_path, capsys, command, field):
+    inst = IcpInstance(A=np.eye(2), b=np.ones(2), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
+    doc = instance_to_dict(inst)
+    del (doc["f"] if field in ("C", "d") else doc)[field]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: field '{field}' is missing\n"
 
 
 def test_instance_dict_schema():
@@ -225,7 +245,7 @@ def test_stacked_campaign_matches_per_point_calls():
         inst = unit.instance
         points, _ = _collect_points(unit, with_solver=True)
         for source, point, iters in points:
-            solution = is_solution(inst, point, ToleranceConfig(tol, tol, tol))
+            solution = is_solution(inst, point, ToleranceConfig(tol, tol))
             norms = [float(np.max(np.abs(natural_residual(inst, point))))]
             worst = 0.0
             for omega1, omega2 in _draw_scalings(inst.n, 3, index):

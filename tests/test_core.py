@@ -99,7 +99,7 @@ def test_exact_tolerance_agrees_with_oracle_on_rational_fixtures(seed):
     diag = 2.0 ** rng.integers(0, 3, n)
     b = rng.integers(-4, 5, n).astype(float)
     inst = IcpInstance(A=np.diag(diag), b=b, f=ZeroMap())
-    exact = ToleranceConfig(feas_tol=0.0, comp_tol=0.0, resid_tol=0.0)
+    exact = ToleranceConfig(feas_tol=0.0, comp_tol=0.0)
 
     result = enumerate_solutions(inst)
     expected = np.where(b < 0, -b / diag, 0.0)
@@ -137,4 +137,4 @@ def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(feas_tol=-1e-12)
     cfg = ToleranceConfig()
-    assert cfg.feas_tol == cfg.comp_tol == cfg.resid_tol == 1e-10
+    assert cfg.feas_tol == cfg.comp_tol == 1e-10

@@ -88,7 +88,7 @@ def test_zero_family_plants_are_exact():
     spec = GeneratorSpec(n=9, seed=4, matrix_family="diag_dominant", f_family="zero", active_fraction=0.5)
     inst, planted, active = generate_planted(spec)
     assert isinstance(inst.f, ZeroMap)
-    exact = ToleranceConfig(feas_tol=0.0, comp_tol=0.0, resid_tol=0.0)
+    exact = ToleranceConfig(feas_tol=0.0, comp_tol=0.0)
     assert is_solution(inst, planted, exact)
     assert np.all(natural_residual(inst, planted) == 0.0)
     assert all(planted[i] == 0.0 for i in active)

@@ -2,14 +2,14 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icpkit.oracle as oracle
 from icpkit.core import AffineMap, IcpInstance, ZeroMap, is_solution
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
-from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _SolutionIndex, certify, enumerate_solutions
+from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _merge, certify, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from support import diag_dominant
 
@@ -145,8 +145,8 @@ R = DEDUP_RADIUS
 # fractions of R (so several stored points can match one query) and outside.
 OFFSETS = [0.0, R, -R, np.nextafter(R, 0.0), np.nextafter(R, 1.0), -np.nextafter(R, 1.0),
            0.3 * R, -0.6 * R, 1.5 * R, 3.0 * R]
-# Far-away points that fill many buckets, so that lookups up to magnitude
-# about 1e9 use the widened bucket window instead of the full scan.
+# Far-away solutions fed first, so that each drawn point's window is cut from
+# a sorted array of thousands of keys rather than from the drawn points alone.
 FILLERS = 2000
 
 
@@ -159,8 +159,8 @@ def index_case(draw):
     big = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     center = np.array([c * scale if b else c for c, b in zip(coords, big)])
     # A line of points a fraction of R apart along one coordinate.  Far from
-    # the origin the computed w.x rises in steps of one ulp, several bucket
-    # widths each, so neighbours on the line straddle distant buckets.
+    # the origin the computed w.x rises in steps of one ulp, wider than the
+    # exact key gap of two points R apart, so neighbours' keys lie far apart.
     axis = draw(st.integers(0, n - 1))
     step = draw(st.sampled_from([0.25 * R, 0.5 * R, np.nextafter(R, 0.0), R]))
     line = [center + k * step * np.eye(n)[axis] for k in range(draw(st.integers(0, 120)))]
@@ -171,22 +171,49 @@ def index_case(draw):
     return n, points, store
 
 
+def greedy_merge(solutions, points, tight, passed):
+    """Reference dedup after the given unflagged solutions: each point merges
+    into the first solution within DEDUP_RADIUS and flags it, or else becomes
+    a solution if it passed."""
+    flags = [False] * len(solutions)
+    for x, is_tight, ok in zip(points, tight, passed):
+        k = first_match(solutions, x)
+        if k is not None:
+            flags[k] = True
+        elif ok:
+            solutions = np.vstack([solutions, x])
+            flags.append(is_tight)
+    return solutions, flags
+
+
+# Pinned cases: a point exactly R from a solution; a point between two
+# solutions, which must merge into the lower one; and a line far from the
+# origin, whose computed keys rise in steps of one ulp, wider than the window
+# would be without its rounding term.
+LINE = [np.array([5e8, k * R]) for k in range(120)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(index_case())
-def test_solution_index_matches_linear_first_match(case):
-    # Lookups interleave with unconditional adds, so a query can match several
-    # stored points and must get the lowest index, as the first-match scan does.
+@given(index_case(), st.lists(st.booleans(), min_size=130, max_size=130))
+@example((1, [np.zeros(1), np.full(1, R)], [True, True]), [False] * 130)
+@example((1, [np.zeros(1), np.full(1, 2 * R), np.full(1, R)], [True, True, True]), [False] * 130)
+@example((2, LINE, [True] * len(LINE)), [False] * 130)
+def test_merge_matches_greedy_first_match(case, tight):
+    # A point can lie within DEDUP_RADIUS of several solutions and must merge
+    # into the lowest-indexed one; points that fail the re-test still merge.
+    # The fillers lie far from each other and from the drawn points, so the
+    # merge takes each of them as an unflagged solution.  One tight flag is
+    # drawn for each of the at most 130 points.
     n, points, store = case
+    tight = tight[: len(store)]
     rng = np.random.default_rng(n)
-    stored = rng.uniform(1.0, 2.0, (FILLERS, n)) * 1e14
-    index = _SolutionIndex(n)
-    for k, p in enumerate(stored):
-        assert index.add(p) == k
-    for x, keep in zip(points, store):
-        assert index.find(x) == first_match(stored, x)
-        if keep:
-            assert index.add(x) == len(stored)
-            stored = np.vstack([stored, x])
+    fillers = rng.uniform(1.0, 2.0, (FILLERS, n)) * 1e14
+    solutions, flags = _merge(
+        np.vstack([fillers, np.reshape(points, (-1, n))]), [False] * FILLERS + tight, [True] * FILLERS + store
+    )
+    expected, expected_flags = greedy_merge(fillers, points, tight, store)
+    assert np.array(solutions).tobytes() == expected.tobytes()
+    assert flags == expected_flags
 
 
 @pytest.mark.parametrize("chunk", [512, 7])
