@@ -24,14 +24,14 @@ bit: the same solutions in the same order with the same degenerate flags,
 and the same singular_skipped unless a near-singular subsystem's pivot falls
 on different sides of the threshold in the two forms.
 
-The dedup (_merge) is one pass over the whole candidate array: one sort of
-the scalar keys w.x gives each candidate a window of candidates, and only the
-window members already taken as solutions are compared with it in the
-inf-norm.
+The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
+alone in its key window is settled at once; the others are compared in the
+inf-norm only with the solutions among them whose keys lie in their windows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import compress
 
@@ -77,11 +77,10 @@ def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[l
     """First-match dedup of the candidate rows of points, in order.
 
     A candidate within DEDUP_RADIUS (inf-norm) of a solution taken before it
-    merges into the lowest-indexed such solution and flags it degenerate,
-    since that solution is then reached from more than one index set.  Any
-    other candidate becomes a new solution, flagged when tight, if it passed
-    the re-test.  Only solutions whose key w.x lies within a window of the
-    candidate's key are tested, with fixed positive weights w.
+    merges into the lowest-indexed such solution, which is then reached from
+    more than one index set and flagged degenerate.  Any other candidate that
+    passed the re-test becomes a new solution, flagged when tight.  Only
+    candidates that share a window of the key w.x, w > 0 fixed, are compared.
     """
     n = points.shape[1]
     # Random weights in [1, 2] keep the points of integer grids, such as
@@ -92,31 +91,37 @@ def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[l
     # Points within DEDUP_RADIUS of x have exact keys at most width from w.x.
     # Rounding in the two computed keys and in t -/+ half adds at most about
     # (n + 1) u (2 w.|x| + width), u = eps / 2, and half is more than twice
-    # that total.  Summing over 2 w makes half inf once w.|x| passes half the
-    # largest float, and then every solution is tested; that also covers any
-    # point near x whose own key overflowed or is nan.
+    # that total, so their keys lie in x's window.  Summing over 2 w makes
+    # half inf once w.|x| passes half the largest float; that also holds for
+    # any x near a point whose own key overflowed or is nan, so a nan key
+    # can stand in the order as inf.
     half = 2.0 * width + (n + 2) * np.finfo(float).eps * (np.abs(points) @ (2.0 * w) + 2.0 * width)
-    order = np.argsort(t, kind="stable")
-    lo = np.searchsorted(t[order], t - half).tolist()
-    hi = np.searchsorted(t[order], t + half, side="right").tolist()
-    wide = (~np.isfinite(half)).tolist()
-    order = order.tolist()
-
-    owner = [-1] * len(points)  # solution index of each candidate taken as one
-    solutions: list[np.ndarray] = []
-    flags: list[bool] = []
-    for j, x in enumerate(points):
-        cand = [i for i in (range(j) if wide[j] else order[lo[j] : hi[j]]) if owner[i] >= 0]
+    t[np.isnan(t)] = np.inf
+    keys = np.sort(t)
+    inside = np.searchsorted(keys, t + half, side="right") - np.searchsorted(keys, t - half)
+    # A candidate alone in its finite window has no other candidate within
+    # DEDUP_RADIUS: it is a solution iff it passed, and no other looks at it.
+    # The loop compares each of the others with the looped solutions in its
+    # window, or with all of them when half is inf.
+    taken, flags = passed.copy(), tight.copy()  # by candidate
+    shared: list[tuple[float, int]] = []  # (key, candidate) of the looped solutions, sorted
+    for j in np.flatnonzero((inside > 1) | ~np.isfinite(half)).tolist():
+        tj, hj = float(t[j]), float(half[j])
+        if hj < np.inf:
+            # (tj - hj,) and (tj + hj, j) bracket every entry keyed in the window.
+            cand = [i for _, i in shared[bisect_left(shared, (tj - hj,)) : bisect_right(shared, (tj + hj, j))]]
+        else:
+            cand = [i for _, i in shared]
         if cand:
-            near = np.max(np.abs(points[cand] - x), axis=1) <= DEDUP_RADIUS
+            near = np.max(np.abs(points[cand] - points[j]), axis=1) <= DEDUP_RADIUS
             if near.any():
-                flags[min(owner[i] for i in compress(cand, near))] = True
+                flags[min(compress(cand, near))] = True
+                taken[j] = False
                 continue
         if passed[j]:
-            owner[j] = len(solutions)
-            solutions.append(x.copy())
-            flags.append(tight[j])
-    return solutions, flags
+            insort(shared, (tj, j))
+    kept = list(compress(range(len(points)), taken))
+    return [points[j].copy() for j in kept], [flags[j] for j in kept]
 
 
 def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:

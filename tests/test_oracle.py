@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ R = DEDUP_RADIUS
 # fractions of R (so several stored points can match one query) and outside.
 OFFSETS = [0.0, R, -R, np.nextafter(R, 0.0), np.nextafter(R, 1.0), -np.nextafter(R, 1.0),
            0.3 * R, -0.6 * R, 1.5 * R, 3.0 * R]
-# Far-away solutions fed first, so that each drawn point's window is cut from
-# a sorted array of thousands of keys rather than from the drawn points alone.
+# Far-away solutions fed first, so that each drawn point's window is counted
+# in a sorted array of thousands of keys rather than among the drawn points.
 FILLERS = 2000
 
 
@@ -187,10 +188,12 @@ def greedy_merge(solutions, points, tight, passed):
 
 
 # Pinned cases: a point exactly R from a solution; a point between two
-# solutions, which must merge into the lower one; and a line far from the
+# solutions, which must merge into the lower one; a line far from the
 # origin, whose computed keys rise in steps of one ulp, wider than the window
-# would be without its rounding term.
+# would be without its rounding term; and repeated points whose keys w.x
+# overflow to inf and -inf, which only an unbounded window finds.
 LINE = [np.array([5e8, k * R]) for k in range(120)]
+HUGE = [np.array([1.79e308, -1.79e308]), np.array([-1.79e308, 1.0])] * 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,6 +201,7 @@ LINE = [np.array([5e8, k * R]) for k in range(120)]
 @example((1, [np.zeros(1), np.full(1, R)], [True, True]), [False] * 130)
 @example((1, [np.zeros(1), np.full(1, 2 * R), np.full(1, R)], [True, True, True]), [False] * 130)
 @example((2, LINE, [True] * len(LINE)), [False] * 130)
+@example((2, HUGE, [True] * len(HUGE)), [False] * 130)
 def test_merge_matches_greedy_first_match(case, tight):
     # A point can lie within DEDUP_RADIUS of several solutions and must merge
     # into the lowest-indexed one; points that fail the re-test still merge.
@@ -208,12 +212,50 @@ def test_merge_matches_greedy_first_match(case, tight):
     tight = tight[: len(store)]
     rng = np.random.default_rng(n)
     fillers = rng.uniform(1.0, 2.0, (FILLERS, n)) * 1e14
-    solutions, flags = _merge(
-        np.vstack([fillers, np.reshape(points, (-1, n))]), [False] * FILLERS + tight, [True] * FILLERS + store
-    )
-    expected, expected_flags = greedy_merge(fillers, points, tight, store)
+    # The HUGE example overflows on purpose.
+    with np.errstate(over="ignore", invalid="ignore"):
+        solutions, flags = _merge(
+            np.vstack([fillers, np.reshape(points, (-1, n))]), [False] * FILLERS + tight, [True] * FILLERS + store
+        )
+        expected, expected_flags = greedy_merge(fillers, points, tight, store)
     assert np.array(solutions).tobytes() == expected.tobytes()
     assert flags == expected_flags
+
+
+def count_oracle_lines(budget):
+    """A sys.settrace hook that counts the lines run in icpkit.oracle and
+    raises once more than budget have run."""
+    left = [budget]
+
+    def local(frame, event, arg):
+        if event == "line":
+            left[0] -= 1
+            if left[0] < 0:
+                raise RuntimeError(f"icpkit.oracle ran more than {budget} lines")
+        return local
+
+    return lambda frame, event, arg: local if frame.f_code.co_filename == oracle.__file__ else None
+
+
+@pytest.mark.parametrize("b_scale", [0.0, 1e-12])
+def test_coinciding_candidates_cost_linear_work(b_scale):
+    # A = I, f = 0 and |b| <= 1e-12: the 2^14 index sets give candidates
+    # r_i in {0, -b_i}, all within DEDUP_RADIUS of each other, so they merge
+    # into the first one.  Each candidate has one solution near it, and the
+    # dedup must not walk the whole pile for each one: the lines the oracle
+    # runs must stay within a fixed number per index set.
+    n = 14
+    b = b_scale * np.random.default_rng(3).uniform(-1.0, 1.0, n)
+    inst = IcpInstance(A=np.eye(n), b=b, f=ZeroMap())
+    old = sys.gettrace()
+    sys.settrace(count_oracle_lines(64 << n))
+    try:
+        result = enumerate_solutions(inst)
+    finally:
+        sys.settrace(old)
+    assert len(result.solutions) == 1
+    assert np.max(np.abs(result.solutions[0] - np.maximum(-b, 0.0))) <= DEDUP_RADIUS
+    assert result.degenerate_flags == [True]
 
 
 @pytest.mark.parametrize("chunk", [512, 7])
