@@ -438,7 +438,10 @@ def cmd_gen(args) -> int:
 def _parse_start(raw: str, n: int) -> np.ndarray:
     if raw == "zero":
         return np.zeros(n)
-    values = [float(tok) for tok in raw.split(",")]
+    try:
+        values = [float(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"--start must be 'zero' or {n} comma-separated numbers, got {raw!r}") from None
     if len(values) != n:
         raise ValueError(f"start vector has {len(values)} entries, instance needs {n}")
     return np.array(values)
@@ -449,7 +452,13 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
         return default_scaling(inst.A)
     if raw == "identity":
         return DiagonalScaling.identity(inst.n)
-    return DiagonalScaling.uniform(float(raw), inst.n)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"--omega must be 'jacobi', 'identity' or a positive number, got {raw!r}")
+    return DiagonalScaling.uniform(value, inst.n)
 
 
 def cmd_solve(args) -> int:
@@ -499,7 +508,8 @@ def cmd_verify(args) -> int:
     delta_names = [name.strip() for name in args.deltas.split(",") if name.strip()]
     unknown = [name for name in delta_names if name not in DELTA_CATALOG]
     if unknown or not delta_names:
-        print(f"error: unknown delta functions {unknown}", file=sys.stderr)
+        problem = f"unknown delta functions {unknown}" if unknown else "no delta function given"
+        print(f"error: --deltas: {problem}; choose from {', '.join(DELTA_CATALOG)}", file=sys.stderr)
         return 2
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)

@@ -6,7 +6,7 @@ instances can be shared freely between threads.  The linear solver is Gauss
 elimination with partial pivoting over a batch of systems, because the
 enumeration oracle needs to solve thousands of small systems at once.  The
 batch is stored batch-last so that one elimination step is one contiguous
-update across it.
+update across it, and back-substitution reads that layout in place.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     Returns ``(solutions, singular)`` where ``singular`` marks systems whose
     pivot fell below PIVOT_REL_TOL times the system's max-magnitude entry;
     their solution rows are meaningless and must be ignored by the caller.
-    The batch is copied to a batch-last layout so that every elimination
-    step is one contiguous in-place update over it.
+    The batch is copied once to a batch-last layout, so that every
+    elimination step is one contiguous in-place update over it, and
+    back-substitution reads that same copy.
     """
     a = np.asarray(mats, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -72,18 +73,21 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     batch = np.arange(m)
 
     for k in range(n):
-        p = k + np.abs(u[k:, k]).argmax(axis=0)
-        singular |= np.abs(u[p, k, batch]) <= thresh
+        mag = np.abs(u[k:, k])
+        p = mag.argmax(axis=0)
+        singular |= mag[p, batch] <= thresh
+        p += k
 
         moved = np.flatnonzero(p != k)
-        pm = p[moved]
-        # Columns left of k are never read again, in either row.
-        rows_k = u[k, k:, moved]
-        u[k, k:, moved] = u[pm, k:, moved]
-        u[pm, k:, moved] = rows_k
-        rhs_k = v[k, moved]
-        v[k, moved] = v[pm, moved]
-        v[pm, moved] = rhs_k
+        if moved.size:
+            pm = p[moved]
+            # Columns left of k are never read again, in either row.
+            rows_k = u[k, k:, moved]
+            u[k, k:, moved] = u[pm, k:, moved]
+            u[pm, k:, moved] = rows_k
+            rhs_k = v[k, moved]
+            v[k, moved] = v[pm, moved]
+            v[pm, moved] = rhs_k
 
         pivot = u[k, k]
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
@@ -92,17 +96,15 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
         u[k + 1 :, k + 1 :] -= factor[:, None] * u[k, k + 1 :]
         v[k + 1 :] -= factor * v[k]
 
-    # Back-substitution runs batch-first: numpy sums a contiguous row
-    # pairwise, while a sum over the batch-last layout would add the terms
-    # sequentially and change the last bits of the solutions.
-    lu = np.ascontiguousarray(u.transpose(2, 0, 1))
-    y = v.T
+    # Each back-substitution product is written batch-first (order="C"), so
+    # numpy sums its contiguous rows pairwise; a sum over the batch-last
+    # layout would add the terms sequentially and change the last bits.
     x = np.zeros((m, n))
     for k in range(n - 1, -1, -1):
-        tail = (lu[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
-        pivot = lu[:, k, k]
+        tail = np.multiply(u[k, k + 1 :].T, x[:, k + 1 :], order="C").sum(axis=1)
+        pivot = u[k, k]
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
-        x[:, k] = (y[:, k] - tail) / pivot
+        x[:, k] = (v[k] - tail) / pivot
     return x, singular
 
 

@@ -14,7 +14,10 @@ substituting z = H(r) turns the ICP into LCP(M, q) with M = A P and
 q = A P d + b (Pang 1981), so index set S (z_S = 0) leaves one
 |Sbar| x |Sbar| system M_SbarSbar z_Sbar = -q_Sbar, whose matrix is singular
 exactly when the full subsystem's is, and r = P (z + d).  Index sets are
-grouped by |Sbar|, and each chunk solves systems of one size only.  The full
+grouped by |Sbar| = k, and each chunk solves k x k systems only, as many as
+fill the bytes of _CHUNK systems of 16 x 16.  Since H(r) = z, a system whose
+z has a component clearly below -feas_tol is dropped before r is rebuilt:
+the filter would reject it (see _Z_MARGIN).  The full
 n x n path runs otherwise: for n <= 9, where its one batched call beats the
 n + 1 calls of the grouped sizes, and when I - C fails the pivot test or is
 too ill-conditioned for the rebuilt r to meet the oracle tolerances (see
@@ -45,7 +48,9 @@ ORACLE_TOL = ToleranceConfig(feas_tol=1e-9, comp_tol=1e-9)
 DEDUP_RADIUS = 1e-8
 TIGHT_TOL = 1e-8
 # Subsystems per solve_linear_batch call: 512 systems of 16 x 16 are 1 MiB in
-# float64, small enough to stay in L2 cache across the n elimination steps.
+# float64, small enough to stay in L2 cache across the elimination steps.
+# The full path's n x n chunks hold _CHUNK systems; the reduced path sizes
+# its chunks by bytes, _CHUNK (ORACLE_N_CAP / k)^2 systems of k x k.
 _CHUNK = 512
 # The full path's elimination leaves H_S and F_Sbar near n eps |r| whatever the
 # conditioning.  The reduced path rebuilds r = P (z + d), so the H and F that
@@ -55,6 +60,16 @@ _CHUNK = 512
 # stays below this share of the oracle tolerances.  For O(1) data at n = 16
 # that admits ||P|| up to about 3e4.
 _ROUNDING_SHARE = 0.1
+# The reduced path drops a system whose z has a component below
+# -(feas_tol + margin) before it rebuilds r, since the filter would reject
+# it anyway: H(r) = z in exact arithmetic.  The rebuilt H differs from z by
+# the error of the computed P, ((I - C) P - I)(z + d), plus the rounding of
+# r = P (z + d) and of (I - C) r - d, each within a small multiple of
+# beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P|| (inf-norms).
+# _reduction admits only beta s^2 <= _ROUNDING_SHARE min(tolerances) with
+# s >= 1, so beta <= 1e-10; the margin is a hundred times that bound times
+# 1 + |z| + |d|, per system.
+_Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
 
 
 @dataclass
@@ -73,6 +88,9 @@ class OracleResult:
     subsets_tested: int
 
 
+# Keys, half-widths and distances of candidates near the largest float
+# overflow to inf or nan, which the windows below are built to absorb.
+@np.errstate(over="ignore", invalid="ignore")
 def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[list[np.ndarray], list[bool]]:
     """First-match dedup of the candidate rows of points, in order.
 
@@ -156,7 +174,10 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
 
 
 def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
-    """(ids, points, singular) per chunk of index sets, each solved as its n x n subsystem."""
+    """(ids, points, singular count) per chunk of index sets, each solved as its n x n subsystem.
+
+    points holds the non-singular systems' solutions, in the order of ids.
+    """
     n = inst.n
     total = 1 << n
     bit = 1 << np.arange(n)
@@ -167,7 +188,7 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
         mats = np.where(active[:, :, None], ic[None, :, :], inst.A[None, :, :])
         rhs = np.where(active, d[None, :], -inst.b[None, :])
         points, singular = solve_linear_batch(mats, rhs)
-        yield ids, points, singular
+        yield ids[~singular], points[~singular], int(singular.sum())
 
 
 def _by_free_count(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,24 +202,36 @@ def _by_free_count(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduced_batches(n: int, p: np.ndarray, m: np.ndarray, q: np.ndarray, d: np.ndarray):
-    """(ids, points, singular) per chunk, from M_SbarSbar z_Sbar = -q_Sbar and r = P (z + d).
+    """(ids, points, singular count) per chunk, from M_SbarSbar z_Sbar = -q_Sbar and r = P (z + d).
 
     Index sets are visited by increasing |Sbar| = k (their clear bits), and
-    each chunk holds sets of a single k, so its systems are all k x k.
+    each chunk holds sets of a single k, so its systems are all k x k.  Only
+    non-singular systems whose z passes the _Z_MARGIN test are rebuilt into
+    points.
     """
     order, free = _by_free_count(n)
     bounds = np.searchsorted(free, np.arange(n + 2))
     bit = 1 << np.arange(n)
+    dmax = np.abs(d).max()
     for k in range(n + 1):
-        for lo in range(bounds[k], bounds[k + 1], _CHUNK):
-            chunk = order[lo : min(lo + _CHUNK, bounds[k + 1])]
-            # Each set's free indices, in increasing order; the fixed ones have z_S = 0.
-            cols = np.nonzero((chunk[:, None] & bit) == 0)[1].reshape(len(chunk), k)
-            mats = m.take(cols[:, :, None] * n + cols[:, None, :])
-            z, singular = solve_linear_batch(mats, -q[cols])
-            zfull = np.zeros((len(chunk), n))
-            np.put_along_axis(zfull, cols, z, axis=1)
-            yield chunk, (zfull + d) @ p.T, singular
+        group = order[bounds[k] : bounds[k + 1]]
+        # Each set's free indices, in increasing order; the fixed ones have z_S = 0.
+        cols = np.nonzero((group[:, None] & bit) == 0)[1].reshape(len(group), k)
+        step = _CHUNK * ORACLE_N_CAP**2 // max(k, 1) ** 2
+        for lo in range(0, len(group), step):
+            ids, part = group[lo : lo + step], cols[lo : lo + step]
+            mats = m.take(part[:, :, None] * n + part[:, None, :])
+            z, singular = solve_linear_batch(mats, -q[part])
+            margin = _Z_MARGIN * (1.0 + np.abs(z).max(axis=1, initial=0.0) + dmax)
+            keep = ~singular & ~np.any(z < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
+            zfull = np.zeros((int(keep.sum()), n))
+            np.put_along_axis(zfull, part[keep], z[keep], axis=1)
+            x = zfull + d
+            # BLAS rounds a lone row (gemv) unlike a block of rows (gemm), so
+            # a lone survivor of a larger group is rebuilt as a block of two:
+            # no point's bits depend on which other systems survive.
+            block = np.repeat(x, 2, axis=0) if len(x) == 1 < len(group) else x
+            yield ids[keep], (block @ p.T)[: len(x)], int(singular.sum())
 
 
 def enumerate_solutions(inst: IcpInstance) -> OracleResult:
@@ -220,9 +253,9 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
 
     singular_skipped = 0
     found_ids, found_points, found_tight = [], [], []
-    for ids, points, singular in batches:
-        singular_skipped += int(singular.sum())
-        good = ~singular & np.all(np.isfinite(points), axis=1)
+    for ids, points, skipped in batches:
+        singular_skipped += skipped
+        good = np.all(np.isfinite(points), axis=1)
         pts = points[good]
         h = pts - (pts @ c.T + d[None, :])
         f = pts @ inst.A.T + inst.b[None, :]

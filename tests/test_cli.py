@@ -366,6 +366,41 @@ def test_solve_bad_inputs(tmp_path):
     assert main(["solve", str(p), "--relaxation", "3.0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--omega", "abc", "--omega must be 'jacobi', 'identity' or a positive number, got 'abc'"),
+        ("--omega", "-1", "--omega must be 'jacobi', 'identity' or a positive number, got '-1'"),
+        ("--omega", "nan", "--omega must be 'jacobi', 'identity' or a positive number, got 'nan'"),
+        ("--start", "1,2,x", "--start must be 'zero' or 2 comma-separated numbers, got '1,2,x'"),
+    ],
+)
+def test_solve_names_a_bad_flag_value(flag, value, message, tmp_path, capsys):
+    p = tmp_path / "ok.json"
+    save_instance(str(p), IcpInstance(A=np.eye(2), b=np.zeros(2)))
+    assert main(["solve", str(p), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_without_delta_functions_is_named(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--gen", "1", "--deltas", ",", "--out-path", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --deltas: no delta function given; choose from identity, cubic, tanh, asinh\n"
+    assert not out.exists()
+
+
+def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
+    # The one solution, about (1.5e308, 1.7e308), overflows the dedup keys w.x.
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": 2, "A": [1e-308, 0, 0, 1e-308], "b": [-1.5, -1.7], "f": {"type": "zero"}}')
+    proc = subprocess.run([sys.executable, "-m", "icpkit", "oracle", str(p)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert np.allclose(json.loads(proc.stdout)["solutions"], [[1.5e308, 1.7e308]])
+
+
 def test_oracle_command(tmp_path, capsys):
     p = tmp_path / "lcp2.json"
     save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))

@@ -263,8 +263,8 @@ def test_many_isolated_solutions_match_closed_form(chunk, monkeypatch):
     # A = -diag(u), b = v, f = 0 with u, v > 0: index set s forces r_i = 0 when
     # bit i is set (H_i = 0) and r_i = v_i / u_i otherwise (F_i = 0), so every
     # one of the 2^n index sets gives its own isolated, non-degenerate solution.
-    # Every |Sbar| group must be visited; with chunks of 7 each group of more
-    # than 7 sets spans several chunks.
+    # Every |Sbar| = k group must be visited; with _CHUNK = 7 a chunk holds
+    # 7 (16 / k)^2 sets, so the groups with 4 <= k <= 8 span several chunks.
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     n = 10
     rng = np.random.default_rng(7)
@@ -278,6 +278,49 @@ def test_many_isolated_solutions_match_closed_form(chunk, monkeypatch):
     assert np.array_equal(np.array(result.solutions), expected)
     assert result.degenerate_flags == [False] * (1 << n)
     assert result.singular_skipped == 0
+
+
+@pytest.mark.parametrize("chunk", [7, 11])
+def test_reduced_results_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # A = -diag(u) and a small dense C make every index set a solution whose
+    # rebuilt r = P (z + d) rounds in its last bits.  With _CHUNK = 11 the
+    # k = 8 group of 45 sets splits into chunks of 44 and 1, so one point is
+    # rebuilt alone; it must keep the bits it gets among the others.
+    n = 10
+    rng = np.random.default_rng(3)
+    u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    inst = IcpInstance(A=-np.diag(u), b=v, f=AffineMap(rng.uniform(-0.01, 0.01, (n, n)), rng.uniform(-0.1, 0.1, n)))
+    assert reduces(inst)
+    expected = pickle.dumps(enumerate_solutions(inst))
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    assert pickle.dumps(enumerate_solutions(inst)) == expected
+
+
+def test_solution_inside_the_tolerance_band_is_kept():
+    # f(r) = C r + d with C = 0, so H(r) = r - d and, with P = I, z = H(r).
+    # A = 3 I except that rows 1 and 2 are both 3 (e_1 + e_2), so the
+    # 2^(n - 2) index sets that leave 1 and 2 free are singular.  q = A d + b
+    # has q_i > 0 for i >= 1, so z_i = 0 there, and q_0 is about 3e-9: the
+    # set that leaves only index 0 free gives z_0 = -q_0 / 3 just below
+    # -feas_tol, yet rebuilding r_0 = d_0 + z_0 rounds H_0 back inside the
+    # band.  That point is a solution; the set that fixes z_0 = 0 comes after
+    # it in index-set order and merges into it.
+    n = 10
+    d = np.ones(n)
+    d[0] = 0.625
+    b = -np.ones(n)
+    b[0] = -1.874999997
+    a = 3.0 * np.eye(n)
+    a[1, 2] = a[2, 1] = 3.0
+    inst = IcpInstance(A=a, b=b, f=AffineMap(np.zeros((n, n)), d))
+    z0 = -(3.0 * d[0] + b[0]) / 3.0
+    assert z0 < -ORACLE_TOL.feas_tol < (d[0] + z0) - d[0] < 0.0
+    assert reduces(inst)
+    result = enumerate_solutions(inst)
+    assert len(result.solutions) == 1
+    assert np.array_equal(result.solutions[0], np.concatenate([[d[0] + z0], d[1:]]))
+    assert result.degenerate_flags == [True]
+    assert result.singular_skipped == 1 << (n - 2)
 
 
 def on_full_path(fn, *args):
