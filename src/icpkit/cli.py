@@ -95,7 +95,6 @@ class LoadedInstance:
     instance: IcpInstance
     planted: np.ndarray | None = None
     seed: int | None = None
-    spec_echo: dict | None = None
 
 
 def instance_to_dict(
@@ -145,21 +144,18 @@ def instance_from_dict(doc: dict, instance_id: str = "instance") -> LoadedInstan
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ValueError(f"field 'seed' must be an integer, got {seed!r}")
-    spec_echo = doc.get("spec")
-    if spec_echo is not None and not isinstance(spec_echo, dict):
+    spec = doc.get("spec")
+    if spec is not None and not isinstance(spec, dict):
         raise ValueError("field 'spec' must be an object")
-    return LoadedInstance(
-        instance_id=instance_id,
-        instance=IcpInstance(A=a, b=b, f=f),
-        planted=planted,
-        seed=seed,
-        spec_echo=spec_echo,
-    )
+    return LoadedInstance(instance_id=instance_id, instance=IcpInstance(A=a, b=b, f=f), planted=planted, seed=seed)
 
 
 def load_instance(path: str) -> LoadedInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_constant=_reject_constant)
+        try:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError("instance file nests too deeply") from None
     stem = os.path.splitext(os.path.basename(path))[0]
     return instance_from_dict(doc, instance_id=stem)
 

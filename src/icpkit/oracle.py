@@ -8,24 +8,18 @@ keeping the candidates that pass the solution test yields every solution; the
 exponential cost is the price of independence from the residual machinery
 this oracle is used to check.
 
-When 2^n spans more than one chunk of _CHUNK subsystems and I - C is well
-conditioned, the subsystems are solved in reduced form.  With P = (I - C)^-1,
-substituting z = H(r) turns the ICP into LCP(M, q) with M = A P and
-q = A P d + b (Pang 1981), so index set S (z_S = 0) leaves one
-|Sbar| x |Sbar| system M_SbarSbar z_Sbar = -q_Sbar, whose matrix is singular
-exactly when the full subsystem's is, and r = P (z + d).  Index sets are
-grouped by |Sbar| = k, and each chunk solves k x k systems only, as many as
-fill the bytes of _CHUNK systems of 16 x 16.  Since H(r) = z, a system whose
-z has a component clearly below -feas_tol is dropped before r is rebuilt:
-the filter would reject it (see _Z_MARGIN).  The full
-n x n path runs otherwise: for n <= 9, where its one batched call beats the
-n + 1 calls of the grouped sizes, and when I - C fails the pivot test or is
-too ill-conditioned for the rebuilt r to meet the oracle tolerances (see
-_ROUNDING_SHARE).  Both paths feed the same feasibility filter, re-test and
-dedup, in index-set order.  They agree within DEDUP_RADIUS, not bit for
-bit: the same solutions in the same order with the same degenerate flags,
-and the same singular_skipped unless a near-singular subsystem's pivot falls
-on different sides of the threshold in the two forms.
+When I - C is well conditioned, the index sets are the leaves of one tree of
+principal pivots.  With P = (I - C)^-1, z = H(r) turns the ICP into
+LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
+the basis that pivots the tableau w = M z + q on Sbar, whose last column then
+holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
+Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)",
+one batched rank-one update.  A leaf whose z is clearly negative is dropped
+(see _Z_MARGIN); r = P (z + d) is rebuilt for the others.  A pivot that grows
+the tableau past what the tolerances allow sends its subtree to the full
+n x n path (see _ROUNDING_SHARE), which runs whole when I - C is singular or
+ill-conditioned; only that path counts singular_skipped.  The two agree
+within DEDUP_RADIUS: the same solutions in order, with the same flags.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -47,29 +41,35 @@ ORACLE_N_CAP = 16
 ORACLE_TOL = ToleranceConfig(feas_tol=1e-9, comp_tol=1e-9)
 DEDUP_RADIUS = 1e-8
 TIGHT_TOL = 1e-8
-# Subsystems per solve_linear_batch call: 512 systems of 16 x 16 are 1 MiB in
-# float64, small enough to stay in L2 cache across the elimination steps.
-# The full path's n x n chunks hold _CHUNK systems; the reduced path sizes
-# its chunks by bytes, _CHUNK (ORACLE_N_CAP / k)^2 systems of k x k.
+# Subsystems per full-path solve_linear_batch call: 512 systems of 16 x 16
+# are 1 MiB, small enough to stay in L2 cache across the elimination steps.
 _CHUNK = 512
 # The full path's elimination leaves H_S and F_Sbar near n eps |r| whatever the
-# conditioning.  The reduced path rebuilds r = P (z + d), so the H and F that
-# its filter sees carry rounding of about n eps max(||I - C||, ||A||) ||P|| |z + d|
+# conditioning.  The tree rebuilds r = P (z + d), so the H and F that its
+# filter sees carry rounding of about n eps max(||I - C||, ||A||) ||P|| |z + d|
 # (inf-norms).  It runs only while that estimate, with s = max(|d|, |q|, 1)
 # standing in for |z + d|, times s again for the other factor of H_i F_i,
-# stays below this share of the oracle tolerances.  For O(1) data at n = 16
-# that admits ||P|| up to about 3e4.
+# stays below this share of the oracle tolerances (||P|| up to about 3e4 for
+# O(1) data at n = 16).  Its pivots round too, about n eps g per entry, g the
+# largest entry on the path, so no node may pass g_max = share / (n eps s).
+# Pivoting on p, with |c| and |r| the largest entries of its column and row,
+# bounds the child by g + |c| |r| / |p|, and the dropped pivot row and column
+# by |r| / |p|, |c| / |p| and 1 / |p|; g + max(|c|, 1) max(|r|, 1) / |p| bounds
+# all four.  So the floor under |p| rises with g, and a singular block fails
+# it even when its pivot row is 0.
 _ROUNDING_SHARE = 0.1
-# The reduced path drops a system whose z has a component below
-# -(feas_tol + margin) before it rebuilds r, since the filter would reject
-# it anyway: H(r) = z in exact arithmetic.  The rebuilt H differs from z by
-# the error of the computed P, ((I - C) P - I)(z + d), plus the rounding of
-# r = P (z + d) and of (I - C) r - d, each within a small multiple of
-# beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P|| (inf-norms).
+# The tree drops a leaf whose z has a component below -(feas_tol + margin):
+# the filter would reject it anyway, since H(r) = z in exact arithmetic.  The
+# rebuilt H differs from z by the error of the computed P, ((I - C) P - I)(z + d),
+# plus the rounding of r = P (z + d) and of (I - C) r - d, each within a small
+# multiple of beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P||.
 # _reduction admits only beta s^2 <= _ROUNDING_SHARE min(tolerances) with
 # s >= 1, so beta <= 1e-10; the margin is a hundred times that bound times
-# 1 + |z| + |d|, per system.
+# 1 + |z| + |d|, per leaf.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
+# The tree runs its top n - _TREE_DEPTH levels breadth-first and the rest per
+# node of that level, so a level holds at most 2^_TREE_DEPTH nodes (1 MiB).
+_TREE_DEPTH = 12
 
 
 @dataclass
@@ -150,7 +150,7 @@ def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
-    """(P, M, q) with P = (I - C)^-1, M = A P and q = A P d + b, or None.
+    """(P, M, q, g_max) with P = (I - C)^-1, M = A P, q = A P d + b and the tree's entry bound, or None.
 
     None sends the enumeration down the full path: I - C failed the pivot
     test, the rounding estimate of _ROUNDING_SHARE exceeds its share of the
@@ -167,71 +167,76 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
         return None
     norms = [np.abs(a).sum(axis=1).max() for a in (ic, inst.A, p)]
     s = max(np.abs(d).max(), np.abs(q).max(), 1.0)
-    rounding = n * np.finfo(float).eps * max(norms[0], norms[1]) * norms[2] * s
-    if rounding * s > _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol):
+    share = _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
+    unit = n * np.finfo(float).eps * s
+    if unit * max(norms[0], norms[1]) * norms[2] * s > share:
         return None
-    return p, m, q
+    return p, m, q, share / unit
 
 
-def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
-    """(ids, points, singular count) per chunk of index sets, each solved as its n x n subsystem.
+def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndarray):
+    """(ids, points, singular count) per chunk of the index sets ids, each solved as its n x n subsystem.
 
     points holds the non-singular systems' solutions, in the order of ids.
     """
-    n = inst.n
-    total = 1 << n
-    bit = 1 << np.arange(n)
-    for lo in range(0, total, _CHUNK):
-        ids = np.arange(lo, min(lo + _CHUNK, total))
+    bit = 1 << np.arange(inst.n)
+    for lo in range(0, len(ids), _CHUNK):
+        chunk = ids[lo : lo + _CHUNK]
         # active[s, i]: index set s forces H_i = 0 (row from I - C), else F_i = 0.
-        active = (ids[:, None] & bit) != 0
+        active = (chunk[:, None] & bit) != 0
         mats = np.where(active[:, :, None], ic[None, :, :], inst.A[None, :, :])
         rhs = np.where(active, d[None, :], -inst.b[None, :])
         points, singular = solve_linear_batch(mats, rhs)
-        yield ids[~singular], points[~singular], int(singular.sum())
+        yield chunk[~singular], points[~singular], int(singular.sum())
 
 
-def _by_free_count(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index sets sorted stably by |Sbar|, their count of clear bits among n, and their |Sbar|."""
-    ids = np.arange(1 << n)
-    free = np.full(1 << n, n, dtype=np.int8)
-    for i in range(n):
-        free -= ((ids >> i) & 1).astype(np.int8)
-    order = np.argsort(free, kind="stable")
-    return order, free[order]
+def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
+    """Level i of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
 
-
-def _reduced_batches(n: int, p: np.ndarray, m: np.ndarray, q: np.ndarray, d: np.ndarray):
-    """(ids, points, singular count) per chunk, from M_SbarSbar z_Sbar = -q_Sbar and r = P (z + d).
-
-    Index sets are visited by increasing |Sbar| = k (their clear bits), and
-    each chunk holds sets of a single k, so its systems are all k x k.  Only
-    non-singular systems whose z passes the _Z_MARGIN test are rebuilt into
-    points.
+    t[k] is node k's tableau, columns i..n-1 of its transformed M and then its
+    q, and g[k] bounds its entries.  Both children drop column i, t[:, :, 0],
+    whose variable is 0 at the leaves.  Also returns the nodes whose pivot failed.
     """
-    order, free = _by_free_count(n)
-    bounds = np.searchsorted(free, np.arange(n + 2))
-    bit = 1 << np.arange(n)
-    dmax = np.abs(d).max()
-    for k in range(n + 1):
-        group = order[bounds[k] : bounds[k + 1]]
-        # Each set's free indices, in increasing order; the fixed ones have z_S = 0.
-        cols = np.nonzero((group[:, None] & bit) == 0)[1].reshape(len(group), k)
-        step = _CHUNK * ORACLE_N_CAP**2 // max(k, 1) ** 2
-        for lo in range(0, len(group), step):
-            ids, part = group[lo : lo + step], cols[lo : lo + step]
-            mats = m.take(part[:, :, None] * n + part[:, None, :])
-            z, singular = solve_linear_batch(mats, -q[part])
-            margin = _Z_MARGIN * (1.0 + np.abs(z).max(axis=1, initial=0.0) + dmax)
-            keep = ~singular & ~np.any(z < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
-            zfull = np.zeros((int(keep.sum()), n))
-            np.put_along_axis(zfull, part[keep], z[keep], axis=1)
-            x = zfull + d
-            # BLAS rounds a lone row (gemv) unlike a block of rows (gemm), so
-            # a lone survivor of a larger group is rebuilt as a block of two:
-            # no point's bits depend on which other systems survive.
-            block = np.repeat(x, 2, axis=0) if len(x) == 1 < len(group) else x
-            yield ids[keep], (block @ p.T)[: len(x)], int(singular.sum())
+    col, rest = t[:, :, 0], t[:, :, 1:]
+    row, piv = rest[:, i], col[:, i]
+    grow = np.abs(col).max(axis=1, initial=1.0) * np.abs(row).max(axis=1, initial=1.0)
+    ok = grow <= (g_max - g) * np.abs(piv)  # g + grow / |piv| <= g_max, false for a zero pivot
+    sel = slice(None) if ok.all() else ok
+    row, piv, col = row[sel], piv[sel], col[sel]
+    out = np.empty((len(row) + len(t),) + rest.shape[1:])
+    child = out[: len(row)]
+    np.multiply((col / piv[:, None])[:, :, None], row[:, None, :], out=child)
+    np.subtract(rest[sel], child, out=child)
+    np.divide(row, -piv[:, None], out=child[:, i])
+    out[len(row) :] = rest
+    g_child = g[sel] + grow[sel] / np.abs(piv)
+    return out, np.concatenate([ids[sel], ids | 1 << i]), np.concatenate([g_child, g]), ids[~ok]
+
+
+def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
+    """(ids, points, 0) per batch of leaves that pass _Z_MARGIN, then the full path's batches of unstable ones."""
+    n = inst.n
+    unstable = [np.zeros(0, dtype=np.int64)]
+
+    def descend(t, ids, g, levels):
+        for i in levels:
+            t, ids, g, bad = _split(t, ids, g, i, g_max)
+            if len(bad):
+                # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
+                unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
+        return t, ids, g
+
+    root = np.hstack([m, q[:, None]])[None]
+    top = max(n - _TREE_DEPTH, 0)
+    heads, head_ids, head_g = descend(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(1, 2)), range(top))
+    for k in range(len(head_ids)):
+        t, ids, _ = descend(heads[k : k + 1], head_ids[k : k + 1], head_g[k : k + 1], range(top, n))
+        # The last column holds w_i where bit i is set and z_i elsewhere.
+        z = np.where((ids[:, None] >> np.arange(n)) & 1, 0.0, t[:, :, 0])
+        margin = _Z_MARGIN * (1.0 + np.abs(z).max(axis=1) + np.abs(d).max())
+        keep = ~np.any(z < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
+        yield ids[keep], (z[keep] + d) @ p.T, 0
+    yield from _full_batches(inst, ic, d, np.concatenate(unstable))
 
 
 def enumerate_solutions(inst: IcpInstance) -> OracleResult:
@@ -243,13 +248,11 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
 
     ic = np.eye(n) - c
     total = 1 << n
-    # Within one chunk the full path's single batched call is faster than the
-    # reduced path's n + 1 calls, one per system size.
-    reduction = _reduction(inst, ic, d) if total > _CHUNK else None
+    reduction = _reduction(inst, ic, d)
     if reduction is None:
-        batches = _full_batches(inst, ic, d)
+        batches = _full_batches(inst, ic, d, np.arange(total))
     else:
-        batches = _reduced_batches(n, *reduction, d)
+        batches = _tree_batches(inst, ic, d, *reduction)
 
     singular_skipped = 0
     found_ids, found_points, found_tight = [], [], []

@@ -101,6 +101,15 @@ def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+def test_deeply_nested_file_is_a_parse_error(tmp_path, capsys, command):
+    # json.load recurses once per bracket, so deep nesting exhausts the stack.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([command, str(deep)]) == 2
+    assert capsys.readouterr().err == "error: instance file nests too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
 @pytest.mark.parametrize("field", ["A", "b", "C", "d"])
 def test_missing_field_is_named(tmp_path, capsys, command, field):
     inst = IcpInstance(A=np.eye(2), b=np.ones(2), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
@@ -115,13 +124,13 @@ def test_missing_field_is_named(tmp_path, capsys, command, field):
 def test_instance_dict_schema():
     inst = IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
     doc = instance_to_dict(inst, planted=np.array([0.5, 0.5]), seed=11, spec_echo={"rng": "numpy-pcg64"})
-    assert doc["n"] == 2
+    assert doc["n"] == 2 and doc["spec"] == {"rng": "numpy-pcg64"}
     assert doc["A"] == [1.0, 0.0, 0.0, 1.0]
     assert doc["f"]["type"] == "affine" and len(doc["f"]["C"]) == 4
     back = instance_from_dict(doc, "roundtrip")
     assert np.array_equal(back.instance.A, inst.A)
     assert np.array_equal(back.instance.f.C, inst.f.C)
-    assert back.seed == 11 and back.spec_echo == {"rng": "numpy-pcg64"}
+    assert back.seed == 11
 
     zero_doc = instance_to_dict(IcpInstance(A=np.eye(1), b=np.zeros(1), f=ZeroMap()))
     assert zero_doc["f"] == {"type": "zero"}

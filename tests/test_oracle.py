@@ -258,19 +258,15 @@ def test_coinciding_candidates_cost_linear_work(b_scale):
     assert result.degenerate_flags == [True]
 
 
-@pytest.mark.parametrize("chunk", [512, 7])
-def test_many_isolated_solutions_match_closed_form(chunk, monkeypatch):
+def test_many_isolated_solutions_match_closed_form():
     # A = -diag(u), b = v, f = 0 with u, v > 0: index set s forces r_i = 0 when
     # bit i is set (H_i = 0) and r_i = v_i / u_i otherwise (F_i = 0), so every
     # one of the 2^n index sets gives its own isolated, non-degenerate solution.
-    # Every |Sbar| = k group must be visited; with _CHUNK = 7 a chunk holds
-    # 7 (16 / k)^2 sets, so the groups with 4 <= k <= 8 span several chunks.
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
     n = 10
     rng = np.random.default_rng(7)
     u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     inst = IcpInstance(A=-np.diag(u), b=v, f=ZeroMap())
-    assert reduces(inst)
+    assert takes_tree(inst)
     result = enumerate_solutions(inst)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     expected = np.where(bits == 1, 0.0, v / u)
@@ -278,22 +274,20 @@ def test_many_isolated_solutions_match_closed_form(chunk, monkeypatch):
     assert np.array_equal(np.array(result.solutions), expected)
     assert result.degenerate_flags == [False] * (1 << n)
     assert result.singular_skipped == 0
+    assert_tree_matches_full_path(inst)
 
 
-@pytest.mark.parametrize("chunk", [7, 11])
-def test_reduced_results_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+def test_tree_matches_full_path_when_every_set_is_a_solution():
     # A = -diag(u) and a small dense C make every index set a solution whose
-    # rebuilt r = P (z + d) rounds in its last bits.  With _CHUNK = 11 the
-    # k = 8 group of 45 sets splits into chunks of 44 and 1, so one point is
-    # rebuilt alone; it must keep the bits it gets among the others.
+    # rebuilt r = P (z + d) rounds in its last bits, so the tree's 2^n leaves
+    # all reach the dedup, which must keep them apart and in index-set order.
     n = 10
     rng = np.random.default_rng(3)
     u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     inst = IcpInstance(A=-np.diag(u), b=v, f=AffineMap(rng.uniform(-0.01, 0.01, (n, n)), rng.uniform(-0.1, 0.1, n)))
-    assert reduces(inst)
-    expected = pickle.dumps(enumerate_solutions(inst))
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    assert pickle.dumps(enumerate_solutions(inst)) == expected
+    assert takes_tree(inst)
+    assert_tree_matches_full_path(inst)
+    assert len(enumerate_solutions(inst).solutions) == 1 << n
 
 
 def test_solution_inside_the_tolerance_band_is_kept():
@@ -315,7 +309,7 @@ def test_solution_inside_the_tolerance_band_is_kept():
     inst = IcpInstance(A=a, b=b, f=AffineMap(np.zeros((n, n)), d))
     z0 = -(3.0 * d[0] + b[0]) / 3.0
     assert z0 < -ORACLE_TOL.feas_tol < (d[0] + z0) - d[0] < 0.0
-    assert reduces(inst)
+    assert takes_tree(inst)
     result = enumerate_solutions(inst)
     assert len(result.solutions) == 1
     assert np.array_equal(result.solutions[0], np.concatenate([[d[0] + z0], d[1:]]))
@@ -330,7 +324,7 @@ def on_full_path(fn, *args):
         return fn(*args)
 
 
-def reduces(inst):
+def takes_tree(inst):
     c, d = inst.f.affine_parts(inst.n)
     return oracle._reduction(inst, np.eye(inst.n) - c, d) is not None
 
@@ -342,43 +336,45 @@ def certify_answer(inst, r):
         return "undecided"
 
 
-def assert_paths_agree(inst):
-    reduced, full = enumerate_solutions(inst), on_full_path(enumerate_solutions, inst)
-    if not reduces(inst):
+def assert_tree_matches_full_path(inst):
+    tree, full = enumerate_solutions(inst), on_full_path(enumerate_solutions, inst)
+    if not takes_tree(inst):
         # Both sides ran the full path.
-        assert pickle.dumps(reduced) == pickle.dumps(full)
+        assert pickle.dumps(tree) == pickle.dumps(full)
         return
-    assert len(reduced.solutions) == len(full.solutions)
-    for x, y in zip(reduced.solutions, full.solutions):
+    assert len(tree.solutions) == len(full.solutions)
+    for x, y in zip(tree.solutions, full.solutions):
         assert np.max(np.abs(x - y)) <= DEDUP_RADIUS
-    assert reduced.degenerate_flags == full.degenerate_flags
-    assert reduced.singular_skipped == full.singular_skipped
-    assert reduced.subsets_tested == full.subsets_tested == 1 << inst.n
+    assert tree.degenerate_flags == full.degenerate_flags
+    assert tree.singular_skipped == full.singular_skipped
+    assert tree.subsets_tested == full.subsets_tested == 1 << inst.n
     probes = [np.zeros(inst.n)] + full.solutions[:1] + [s + 1e-3 for s in full.solutions[:1]]
     for r in probes:
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
 @pytest.mark.parametrize("f_family", F_FAMILIES)
 @pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
-def test_reduced_path_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
+def test_tree_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
     spec = GeneratorSpec(n=n, seed=seed, matrix_family=matrix_family, f_family=f_family, gamma=0.5)
     inst = generate_planted(spec)[0]
-    assert reduces(inst)
-    assert_paths_agree(inst)
+    assert takes_tree(inst)
+    assert_tree_matches_full_path(inst)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("n", [10, 11, 12])
 @pytest.mark.parametrize("c_entry", [0.0, 0.25, -0.25])
 @pytest.mark.parametrize("shape", ["plain", "zero_row", "duplicate_rows", "b_zero"])
-def test_reduced_path_matches_full_path_on_degenerate_instances(shape, c_entry, n, seed):
-    # Entries in {-1, 0, 1} make many subsystems exactly singular and many
-    # solutions tight; C has entries in {0, c_entry} times {-1, 1}.  Large
-    # |q| can send an instance down the full path (b_zero, -0.25, 11, 0 has
-    # max |q| = 21), where the result must then match byte for byte.
+def test_tree_matches_full_path_on_degenerate_instances(shape, c_entry, n, seed):
+    # Entries in {-1, 0, 1} make many subsystems exactly singular, many
+    # solutions tight and many tree pivots zero, so whole subtrees fall back;
+    # C has entries in {0, c_entry} times {-1, 1}.  Large |q| can send an
+    # instance down the full path (b_zero, -0.25, 11, 0 has max |q| = 21),
+    # where the result must then match byte for byte.
     rng = np.random.default_rng([seed, n, len(shape), int(4 * c_entry) + 1])
     a = rng.integers(-1, 2, (n, n)).astype(float)
     b = rng.integers(-1, 2, n).astype(float)
@@ -391,7 +387,7 @@ def test_reduced_path_matches_full_path_on_degenerate_instances(shape, c_entry, 
         b[:] = 0.0
     c = c_entry * rng.integers(-1, 2, (n, n))
     f = AffineMap(c, rng.integers(-1, 2, n).astype(float)) if c_entry else ZeroMap()
-    assert_paths_agree(IcpInstance(A=a, b=b, f=f))
+    assert_tree_matches_full_path(IcpInstance(A=a, b=b, f=f))
 
 
 @pytest.mark.parametrize("case", ["identity_row", "ill_conditioned"])
@@ -405,7 +401,7 @@ def test_fallback_returns_the_full_path_result_exactly(case):
     d = rng.uniform(-1.0, 1.0, n)
     d[3] = -0.5  # H_3 is then (about) 0.5 > 0, so F_3 = 0 at every solution
     inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=AffineMap(c, d))
-    assert not reduces(inst)
+    assert not takes_tree(inst)
     result = enumerate_solutions(inst)
     assert result.solutions
     assert pickle.dumps(result) == pickle.dumps(on_full_path(enumerate_solutions, inst))
@@ -417,7 +413,7 @@ def test_near_singular_block_in_i_minus_c_keeps_the_solution(delta, seed):
     # I - C holds the block [[1, 1], [1, 1 + delta]], condition number about
     # 4 / delta.  The one solution x has H(x) = 0 and F(x) = x + 1 >= 1, so an
     # error of 1e-9 in a rebuilt H_i already breaks |H_i F_i| <= comp_tol.
-    # The reduced path must keep x at the edge of its range or fall back.
+    # The tree must keep x at the edge of its range or fall back.
     n = 10
     ic = np.eye(n)
     ic[0, 1] = ic[1, 0] = 1.0
@@ -427,5 +423,27 @@ def test_near_singular_block_in_i_minus_c_keeps_the_solution(delta, seed):
     result = enumerate_solutions(inst)
     assert len(result.solutions) == 1
     assert np.max(np.abs(result.solutions[0] - x)) <= DEDUP_RADIUS
-    assert reduces(inst) == (delta >= 1e-3)
-    assert_paths_agree(inst)
+    assert takes_tree(inst) == (delta >= 1e-3)
+    assert_tree_matches_full_path(inst)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_root_pivot_sends_its_subtree_to_the_full_path(monkeypatch):
+    # f = 0 makes M = A, and A_00 = 0 is the tree's first pivot, so every
+    # index set that leaves index 0 free (bit 0 clear) is solved by the full
+    # path, and so is the planted solution x, which has x_0 = 1 and F_0 = 0.
+    n = 10
+    rng = np.random.default_rng(11)
+    a = diag_dominant(rng, n)
+    a[0, 0] = 0.0
+    x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.5, 1.0, n))
+    x[0] = 1.0
+    inst = IcpInstance(A=a, b=np.where(x > 0.0, 0.0, rng.uniform(0.5, 1.0, n)) - a @ x, f=ZeroMap())
+    assert takes_tree(inst)
+    sent, full_batches = [], oracle._full_batches
+    monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
+    result = enumerate_solutions(inst)
+    assert np.array_equal(np.sort(np.concatenate(sent)), np.arange(0, 1 << n, 2))
+    assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
+    monkeypatch.undo()
+    assert_tree_matches_full_path(inst)
