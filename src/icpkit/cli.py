@@ -616,7 +616,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush here so that a closed reader raises below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left early.  Python flushes stdout again at
+        # exit, so point it at devnull, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -148,22 +148,16 @@ def evaluate_F(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionCheck:
-    """Outcome of the solution test plus the worst violation of each kind.
+    """Outcome of the solution test with the H and F it tested.
 
-    min_h / min_f are the smallest components of H and F (most negative means
-    worst feasibility), max_comp the largest |H_i * F_i|; the *_index fields
-    point at the offending component.  For one point the fields are bool,
-    float and int, and truthiness mirrors ``ok``.  For a stack of p points
-    each field is an array of length p whose k-th entry describes row k.
+    For one point ok is a bool, whose truthiness the check mirrors, and h and
+    f are arrays of shape (n,).  For a stack of p points ok is a bool array of
+    length p and h and f have shape (p, n); row k describes point k.
     """
 
     ok: bool | np.ndarray
-    min_h: float | np.ndarray
-    min_h_index: int | np.ndarray
-    min_f: float | np.ndarray
-    min_f_index: int | np.ndarray
-    max_comp: float | np.ndarray
-    max_comp_index: int | np.ndarray
+    h: np.ndarray
+    f: np.ndarray
 
     def __bool__(self) -> bool:
         return self.ok
@@ -175,22 +169,17 @@ def check_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFA
     Complementarity is checked componentwise rather than through the inner
     product H^T F: the two are equivalent for exact nonnegative solutions, and
     the componentwise form cannot hide a violation behind sign cancellation.
-    r is one point (n,) or a stack (p, n), tested row by row.
+    r is one point (n,) or a stack (p, n), tested row by row; a nan anywhere
+    in a row fails it.
     """
     h = evaluate_H(inst, r)
     f = evaluate_F(inst, r)
-    comp = np.abs(h * f)
-    i_h = np.argmin(h, axis=-1)
-    i_f = np.argmin(f, axis=-1)
-    i_c = np.argmax(comp, axis=-1)
-    min_h, min_f, max_comp = (
-        np.take_along_axis(v, i[..., None], axis=-1)[..., 0] for v, i in ((h, i_h), (f, i_f), (comp, i_c))
+    ok = (
+        np.all(h >= -tol.feas_tol, axis=-1)
+        & np.all(f >= -tol.feas_tol, axis=-1)
+        & np.all(np.abs(h * f) <= tol.comp_tol, axis=-1)
     )
-    ok = (min_h >= -tol.feas_tol) & (min_f >= -tol.feas_tol) & (max_comp <= tol.comp_tol)
-    fields = (ok, min_h, i_h, min_f, i_f, max_comp, i_c)
-    if h.ndim == 1:
-        fields = tuple(v.item() for v in fields)
-    return SolutionCheck(*fields)
+    return SolutionCheck(ok.item() if h.ndim == 1 else ok, h, f)
 
 
 def is_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool | np.ndarray:

@@ -14,12 +14,14 @@ LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
 Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)",
-one batched rank-one update.  A leaf whose z is clearly negative is dropped
-(see _Z_MARGIN); r = P (z + d) is rebuilt for the others.  A pivot that grows
-the tableau past what the tolerances allow sends its subtree to the full
-n x n path (see _ROUNDING_SHARE), which runs whole when I - C is singular or
-ill-conditioned; only that path counts singular_skipped.  The two agree
-within DEDUP_RADIUS: the same solutions in order, with the same flags.
+one batched rank-one update.  A leaf whose last column has a clearly
+negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
+others.  A pivot that grows the tableau past what the tolerances allow sends
+its subtree to the full n x n path (see _ROUNDING_SHARE), which runs whole
+when I - C is singular or ill-conditioned; only that path counts
+singular_skipped.  Both paths' candidates go through check_solution, the one
+solution test, and the two agree within DEDUP_RADIUS: the same solutions in
+order, with the same flags.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -58,14 +60,17 @@ _CHUNK = 512
 # all four.  So the floor under |p| rises with g, and a singular block fails
 # it even when its pivot row is 0.
 _ROUNDING_SHARE = 0.1
-# The tree drops a leaf whose z has a component below -(feas_tol + margin):
-# the filter would reject it anyway, since H(r) = z in exact arithmetic.  The
-# rebuilt H differs from z by the error of the computed P, ((I - C) P - I)(z + d),
-# plus the rounding of r = P (z + d) and of (I - C) r - d, each within a small
-# multiple of beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P||.
-# _reduction admits only beta s^2 <= _ROUNDING_SHARE min(tolerances) with
-# s >= 1, so beta <= 1e-10; the margin is a hundred times that bound times
-# 1 + |z| + |d|, per leaf.
+# The tree drops a leaf whose last column, z on Sbar and w on S, has an entry
+# below -(feas_tol + margin): check_solution would reject it anyway, since
+# H(r) = z and F(r) = w in exact arithmetic.  The rebuilt H differs from z by
+# the error of the computed P, ((I - C) P - I)(z + d), plus the rounding of
+# r = P (z + d) and of (I - C) r - d, each within a small multiple of
+# beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P||; the rebuilt F
+# differs from w = A P (z + d) + b by the same kind of term.  The tableau's own
+# rounding stays under share / s (see _ROUNDING_SHARE).  _reduction admits only
+# beta s^2 <= _ROUNDING_SHARE min(tolerances) with s >= 1, so beta <= 1e-10;
+# the margin is a hundred times that bound times 1 + |last column| + |d|, per
+# leaf (inf-norms), which is at least 1 + |z| + |d|.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
 # The tree runs its top n - _TREE_DEPTH levels breadth-first and the rest per
 # node of that level, so a level holds at most 2^_TREE_DEPTH nodes (1 MiB).
@@ -91,14 +96,14 @@ class OracleResult:
 # Keys, half-widths and distances of candidates near the largest float
 # overflow to inf or nan, which the windows below are built to absorb.
 @np.errstate(over="ignore", invalid="ignore")
-def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[list[np.ndarray], list[bool]]:
+def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], list[bool]]:
     """First-match dedup of the candidate rows of points, in order.
 
     A candidate within DEDUP_RADIUS (inf-norm) of a solution taken before it
     merges into the lowest-indexed such solution, which is then reached from
-    more than one index set and flagged degenerate.  Any other candidate that
-    passed the re-test becomes a new solution, flagged when tight.  Only
-    candidates that share a window of the key w.x, w > 0 fixed, are compared.
+    more than one index set and flagged degenerate.  Any other candidate
+    becomes a new solution, flagged when tight.  Only candidates that share a
+    window of the key w.x, w > 0 fixed, are compared.
     """
     n = points.shape[1]
     # Random weights in [1, 2] keep the points of integer grids, such as
@@ -118,10 +123,10 @@ def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[l
     keys = np.sort(t)
     inside = np.searchsorted(keys, t + half, side="right") - np.searchsorted(keys, t - half)
     # A candidate alone in its finite window has no other candidate within
-    # DEDUP_RADIUS: it is a solution iff it passed, and no other looks at it.
-    # The loop compares each of the others with the looped solutions in its
-    # window, or with all of them when half is inf.
-    taken, flags = passed.copy(), tight.copy()  # by candidate
+    # DEDUP_RADIUS: it is a new solution, and no other looks at it.  The loop
+    # compares each of the others with the looped solutions in its window, or
+    # with all of them when half is inf.
+    taken, flags = [True] * len(points), tight.copy()  # by candidate
     shared: list[tuple[float, int]] = []  # (key, candidate) of the looped solutions, sorted
     for j in np.flatnonzero((inside > 1) | ~np.isfinite(half)).tolist():
         tj, hj = float(t[j]), float(half[j])
@@ -136,8 +141,7 @@ def _merge(points: np.ndarray, tight: list[bool], passed: list[bool]) -> tuple[l
                 flags[min(compress(cand, near))] = True
                 taken[j] = False
                 continue
-        if passed[j]:
-            insort(shared, (tj, j))
+        insort(shared, (tj, j))
     kept = list(compress(range(len(points)), taken))
     return [points[j].copy() for j in kept], [flags[j] for j in kept]
 
@@ -232,10 +236,12 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
     for k in range(len(head_ids)):
         t, ids, _ = descend(heads[k : k + 1], head_ids[k : k + 1], head_g[k : k + 1], range(top, n))
         # The last column holds w_i where bit i is set and z_i elsewhere.
-        z = np.where((ids[:, None] >> np.arange(n)) & 1, 0.0, t[:, :, 0])
-        margin = _Z_MARGIN * (1.0 + np.abs(z).max(axis=1) + np.abs(d).max())
-        keep = ~np.any(z < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
-        yield ids[keep], (z[keep] + d) @ p.T, 0
+        last = t[:, :, 0]
+        margin = _Z_MARGIN * (1.0 + np.abs(last).max(axis=1) + np.abs(d).max())
+        keep = ~np.any(last < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
+        ids = ids[keep]
+        z = np.where((ids[:, None] >> np.arange(n)) & 1, 0.0, last[keep])
+        yield ids, (z + d) @ p.T, 0
     yield from _full_batches(inst, ic, d, np.concatenate(unstable))
 
 
@@ -259,28 +265,18 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     for ids, points, skipped in batches:
         singular_skipped += skipped
         good = np.all(np.isfinite(points), axis=1)
-        pts = points[good]
-        h = pts - (pts @ c.T + d[None, :])
-        f = pts @ inst.A.T + inst.b[None, :]
-        feasible = (
-            np.all(h >= -ORACLE_TOL.feas_tol, axis=1)
-            & np.all(f >= -ORACLE_TOL.feas_tol, axis=1)
-            & np.all(np.abs(h * f) <= ORACLE_TOL.comp_tol, axis=1)
-        )
-        found_ids.append(ids[good][feasible])
-        found_points.append(pts[feasible])
-        found_tight.append(np.any((np.abs(h[feasible]) <= TIGHT_TOL) & (np.abs(f[feasible]) <= TIGHT_TOL), axis=1))
+        ids, points = ids[good], points[good]
+        # check_solution's rows match its single-point calls bit for bit, so
+        # every reported solution passes it verbatim.
+        check = check_solution(inst, points, ORACLE_TOL)
+        ok = check.ok
+        found_ids.append(ids[ok])
+        found_points.append(points[ok])
+        found_tight.append(np.any((np.abs(check.h[ok]) <= TIGHT_TOL) & (np.abs(check.f[ok]) <= TIGHT_TOL), axis=1))
 
     # Candidates in index-set order, whichever order the chunks visited.
     order = np.argsort(np.concatenate(found_ids), kind="stable")
-    points = np.concatenate(found_points)[order]
-    tight = np.concatenate(found_tight)[order].tolist()
-
-    # Re-test through check_solution, whose rows match its single-point
-    # calls bit for bit, so every reported solution passes it verbatim.
-    passed = check_solution(inst, points, ORACLE_TOL).ok.tolist()
-
-    solutions, flags = _merge(points, tight, passed)
+    solutions, flags = _merge(np.concatenate(found_points)[order], np.concatenate(found_tight)[order].tolist())
 
     return OracleResult(
         solutions=solutions,

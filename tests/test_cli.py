@@ -410,6 +410,24 @@ def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
     assert np.allclose(json.loads(proc.stdout)["solutions"], [[1.5e308, 1.7e308]])
 
 
+def test_oracle_into_a_closed_pipe_prints_no_traceback(tmp_path):
+    # A = -diag(u), b = v, f = 0 has 1,024 solutions at n = 10, so the report
+    # outgrows the pipe buffer and its writes fail once the reader is gone.
+    n = 10
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    p = tmp_path / "many.json"
+    save_instance(str(p), IcpInstance(A=-np.diag(u), b=v, f=ZeroMap()))
+    cmd = [sys.executable, "-m", "icpkit", "oracle", str(p)]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
+
+
 def test_oracle_command(tmp_path, capsys):
     p = tmp_path / "lcp2.json"
     save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))

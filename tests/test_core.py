@@ -52,16 +52,21 @@ def test_is_solution_examples():
     assert is_solution(lcp, np.array([1.0]))
     assert not is_solution(lcp, np.array([0.5]))
     report = check_solution(lcp, np.array([0.5]))
-    assert report.min_f == -0.5 and report.min_f_index == 0
+    assert report.h.tolist() == [0.5] and report.f.tolist() == [-0.5]
     assert not report
 
 
 def test_check_solution_reports_worst_violation():
-    inst = IcpInstance(A=np.eye(3), b=np.array([0.0, -2.0, 1.0]), f=ZeroMap())
+    inst = IcpInstance(A=np.eye(3), b=np.array([0.0, -2.0, 1.0]), f=AffineMap(np.zeros((3, 3)), [0.0, 0.0, -1.0]))
     report = check_solution(inst, np.array([1.0, 0.0, 3.0]))
-    assert report.min_f == -2.0 and report.min_f_index == 1
-    assert report.max_comp == pytest.approx(12.0) and report.max_comp_index == 2
+    # F_1 = -2 is infeasible and H_2 F_2 = 16 breaks complementarity.
+    assert report.h.tolist() == [1.0, 0.0, 4.0]
+    assert report.f.tolist() == [1.0, -2.0, 4.0]
     assert not report.ok
+    stacked = check_solution(inst, np.array([[1.0, 0.0, 3.0], [0.0, 2.0, -1.0]]))
+    assert stacked.ok.tolist() == [False, True]
+    assert stacked.h.tolist() == [[1.0, 0.0, 4.0], [0.0, 2.0, 0.0]]
+    assert stacked.f.tolist() == [[1.0, -2.0, 4.0], [0.0, 0.0, 0.0]]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))

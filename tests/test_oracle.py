@@ -167,21 +167,19 @@ def index_case(draw):
     line = [center + k * step * np.eye(n)[axis] for k in range(draw(st.integers(0, 120)))]
     offsets = st.lists(st.sampled_from(OFFSETS), min_size=n, max_size=n)
     jitter = [center + np.array(off) for off in draw(st.lists(offsets, max_size=10))]
-    points = draw(st.permutations(line + jitter))
-    store = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
-    return n, points, store
+    return n, draw(st.permutations(line + jitter))
 
 
-def greedy_merge(solutions, points, tight, passed):
+def greedy_merge(solutions, points, tight):
     """Reference dedup after the given unflagged solutions: each point merges
     into the first solution within DEDUP_RADIUS and flags it, or else becomes
-    a solution if it passed."""
+    a solution."""
     flags = [False] * len(solutions)
-    for x, is_tight, ok in zip(points, tight, passed):
+    for x, is_tight in zip(points, tight):
         k = first_match(solutions, x)
         if k is not None:
             flags[k] = True
-        elif ok:
+        else:
             solutions = np.vstack([solutions, x])
             flags.append(is_tight)
     return solutions, flags
@@ -198,26 +196,23 @@ HUGE = [np.array([1.79e308, -1.79e308]), np.array([-1.79e308, 1.0])] * 2
 
 @settings(max_examples=200, deadline=None)
 @given(index_case(), st.lists(st.booleans(), min_size=130, max_size=130))
-@example((1, [np.zeros(1), np.full(1, R)], [True, True]), [False] * 130)
-@example((1, [np.zeros(1), np.full(1, 2 * R), np.full(1, R)], [True, True, True]), [False] * 130)
-@example((2, LINE, [True] * len(LINE)), [False] * 130)
-@example((2, HUGE, [True] * len(HUGE)), [False] * 130)
+@example((1, [np.zeros(1), np.full(1, R)]), [False] * 130)
+@example((1, [np.zeros(1), np.full(1, 2 * R), np.full(1, R)]), [False] * 130)
+@example((2, LINE), [False] * 130)
+@example((2, HUGE), [False] * 130)
 def test_merge_matches_greedy_first_match(case, tight):
     # A point can lie within DEDUP_RADIUS of several solutions and must merge
-    # into the lowest-indexed one; points that fail the re-test still merge.
-    # The fillers lie far from each other and from the drawn points, so the
-    # merge takes each of them as an unflagged solution.  One tight flag is
-    # drawn for each of the at most 130 points.
-    n, points, store = case
-    tight = tight[: len(store)]
+    # into the lowest-indexed one.  The fillers lie far from each other and
+    # from the drawn points, so the merge takes each of them as an unflagged
+    # solution.  One tight flag is drawn for each of the at most 130 points.
+    n, points = case
+    tight = tight[: len(points)]
     rng = np.random.default_rng(n)
     fillers = rng.uniform(1.0, 2.0, (FILLERS, n)) * 1e14
     # The HUGE example overflows on purpose.
     with np.errstate(over="ignore", invalid="ignore"):
-        solutions, flags = _merge(
-            np.vstack([fillers, np.reshape(points, (-1, n))]), [False] * FILLERS + tight, [True] * FILLERS + store
-        )
-        expected, expected_flags = greedy_merge(fillers, points, tight, store)
+        solutions, flags = _merge(np.vstack([fillers, np.reshape(points, (-1, n))]), [False] * FILLERS + tight)
+        expected, expected_flags = greedy_merge(fillers, points, tight)
     assert np.array(solutions).tobytes() == expected.tobytes()
     assert flags == expected_flags
 
@@ -315,6 +310,35 @@ def test_solution_inside_the_tolerance_band_is_kept():
     assert np.array_equal(result.solutions[0], np.concatenate([[d[0] + z0], d[1:]]))
     assert result.degenerate_flags == [True]
     assert result.singular_skipped == 1 << (n - 2)
+
+
+def test_leaf_test_covers_w_on_s(monkeypatch):
+    # A = I and f(r) = C r + d with C = 0, so P = I, M = I, q = d + b, H = r - d
+    # and F = r + b.  q_0 is about -5e-10: the leaf that fixes z_0 = 0 has
+    # H_0 = 0 and F_0 = w_0 = q_0, inside feas_tol, so it must be kept, and
+    # the earlier leaf that pivots on 0 (r_0 = d_0 - q_0) is the solution it
+    # merges into.  q_1 = -1: the leaf that fixes z_1 = 0 has w_1 = -1, so
+    # the tree drops it, and only those two leaves reach check_solution.
+    n = 8
+    d = np.ones(n)
+    d[0] = 0.5
+    b = np.ones(n)
+    b[0] = -0.5 - 5e-10
+    b[1] = -2.0
+    inst = IcpInstance(A=np.eye(n), b=b, f=AffineMap(np.zeros((n, n)), d))
+    q0 = d[0] + b[0]
+    assert -ORACLE_TOL.feas_tol < q0 < -4e-10
+    assert takes_tree(inst)
+    seen, check = [], oracle.check_solution
+    monkeypatch.setattr(oracle, "check_solution", lambda *args: seen.append(args[1]) or check(*args))
+    result = enumerate_solutions(inst)
+    x = np.concatenate([[d[0] - q0, 2.0], d[2:]])
+    assert np.array_equal(np.concatenate(seen), [x, np.concatenate([d[:1], x[1:]])])
+    assert len(result.solutions) == 1
+    assert np.array_equal(result.solutions[0], x)
+    assert result.degenerate_flags == [True]
+    monkeypatch.undo()
+    assert_tree_matches_full_path(inst)
 
 
 def on_full_path(fn, *args):
