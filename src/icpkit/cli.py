@@ -437,9 +437,9 @@ def _parse_start(raw: str, n: int) -> np.ndarray:
     try:
         values = [float(tok) for tok in raw.split(",")]
     except ValueError:
-        raise ValueError(f"--start must be 'zero' or {n} comma-separated numbers, got {raw!r}") from None
-    if len(values) != n:
-        raise ValueError(f"start vector has {len(values)} entries, instance needs {n}")
+        values = []
+    if len(values) != n or not all(map(math.isfinite, values)):
+        raise ValueError(f"--start must be 'zero' or {n} comma-separated finite numbers, got {raw!r}")
     return np.array(values)
 
 
@@ -624,7 +624,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader of stdout left early.  Python flushes stdout again at
         # exit, so point it at devnull, and exit 1 as Python does on EPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

@@ -14,14 +14,15 @@ LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
 Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)",
-one batched rank-one update.  A leaf whose last column has a clearly
-negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
-others.  A pivot that grows the tableau past what the tolerances allow sends
-its subtree to the full n x n path (see _ROUNDING_SHARE), which runs whole
-when I - C is singular or ill-conditioned; only that path counts
-singular_skipped.  Both paths' candidates go through check_solution, the one
-solution test, and the two agree within DEDUP_RADIUS: the same solutions in
-order, with the same flags.
+one batched rank-one update over the level's tableaux, stored batch-last as
+(n, columns, nodes) so that each op runs over one contiguous vector of nodes.
+A leaf whose last column has a clearly negative entry is dropped (see
+_Z_MARGIN); r = P (z + d) is rebuilt for the others.  A pivot that grows the
+tableau past what the tolerances allow sends its subtree to the full n x n
+path (see _ROUNDING_SHARE), which runs whole when I - C is singular or
+ill-conditioned; only that path counts singular_skipped.  Both paths'
+candidates go through check_solution, the one solution test, and the two
+agree within DEDUP_RADIUS: the same solutions in order, with the same flags.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -146,13 +147,6 @@ def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], lis
     return [points[j].copy() for j in kept], [flags[j] for j in kept]
 
 
-def _affine_parts(inst: IcpInstance) -> tuple[np.ndarray, np.ndarray]:
-    parts = inst.f.affine_parts(inst.n)
-    if parts is None:
-        raise ValueError("oracle enumeration requires a zero or affine implicit map")
-    return parts
-
-
 def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     """(P, M, q, g_max) with P = (I - C)^-1, M = A P, q = A P d + b and the tree's entry bound, or None.
 
@@ -197,28 +191,31 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
 def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
     """Level i of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
 
-    t[k] is node k's tableau, columns i..n-1 of its transformed M and then its
-    q, and g[k] bounds its entries.  Both children drop column i, t[:, :, 0],
+    t[:, :, k] is node k's tableau, columns i..n-1 of its transformed M and
+    then q, and g[k] bounds its entries.  Both children drop column i, t[:, 0],
     whose variable is 0 at the leaves.  Also returns the nodes whose pivot failed.
     """
-    col, rest = t[:, :, 0], t[:, :, 1:]
-    row, piv = rest[:, i], col[:, i]
-    grow = np.abs(col).max(axis=1, initial=1.0) * np.abs(row).max(axis=1, initial=1.0)
+    col, rest = t[:, 0], t[:, 1:]
+    row, piv = rest[i], col[i]
+    grow = np.abs(col).max(axis=0, initial=1.0) * np.abs(row).max(axis=0, initial=1.0)
     ok = grow <= (g_max - g) * np.abs(piv)  # g + grow / |piv| <= g_max, false for a zero pivot
     sel = slice(None) if ok.all() else ok
-    row, piv, col = row[sel], piv[sel], col[sel]
-    out = np.empty((len(row) + len(t),) + rest.shape[1:])
-    child = out[: len(row)]
-    np.multiply((col / piv[:, None])[:, :, None], row[:, None, :], out=child)
-    np.subtract(rest[sel], child, out=child)
-    np.divide(row, -piv[:, None], out=child[:, i])
-    out[len(row) :] = rest
+    row, piv, col = row[:, sel], piv[sel], col[:, sel]
+    out = np.empty(rest.shape[:2] + (len(piv) + len(ids),))
+    child = out[:, :, : len(piv)]
+    np.multiply((col / piv)[:, None], row, out=child)
+    np.subtract(rest[:, :, sel], child, out=child)
+    np.divide(row, -piv, out=child[i])
+    out[:, :, len(piv) :] = rest
     g_child = g[sel] + grow[sel] / np.abs(piv)
     return out, np.concatenate([ids[sel], ids | 1 << i]), np.concatenate([g_child, g]), ids[~ok]
 
 
 def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
-    """(ids, points, 0) per batch of leaves that pass _Z_MARGIN, then the full path's batches of unstable ones."""
+    """(ids, points, 0) per batch of leaves that pass _Z_MARGIN, then the full path's batches of unstable ones.
+
+    A level's tableaux are stored batch-last, (n, columns, nodes).
+    """
     n = inst.n
     unstable = [np.zeros(0, dtype=np.int64)]
 
@@ -230,25 +227,27 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
         return t, ids, g
 
-    root = np.hstack([m, q[:, None]])[None]
+    root = np.hstack([m, q[:, None]])[:, :, None]
     top = max(n - _TREE_DEPTH, 0)
-    heads, head_ids, head_g = descend(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(1, 2)), range(top))
+    heads, head_ids, head_g = descend(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), range(top))
     for k in range(len(head_ids)):
-        t, ids, _ = descend(heads[k : k + 1], head_ids[k : k + 1], head_g[k : k + 1], range(top, n))
+        t, ids, _ = descend(heads[:, :, k : k + 1], head_ids[k : k + 1], head_g[k : k + 1], range(top, n))
         # The last column holds w_i where bit i is set and z_i elsewhere.
-        last = t[:, :, 0]
-        margin = _Z_MARGIN * (1.0 + np.abs(last).max(axis=1) + np.abs(d).max())
-        keep = ~np.any(last < -(ORACLE_TOL.feas_tol + margin)[:, None], axis=1)
-        ids = ids[keep]
-        z = np.where((ids[:, None] >> np.arange(n)) & 1, 0.0, last[keep])
-        yield ids, (z + d) @ p.T, 0
+        last = t[:, 0]
+        margin = _Z_MARGIN * (1.0 + np.abs(last).max(axis=0) + np.abs(d).max())
+        keep = ~np.any(last < -(ORACLE_TOL.feas_tol + margin), axis=0)
+        z = np.where((ids[keep, None] >> np.arange(n)) & 1, 0.0, last[:, keep].T)
+        yield ids[keep], (z + d) @ p.T, 0
     yield from _full_batches(inst, ic, d, np.concatenate(unstable))
 
 
 def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     """Enumerate every solution of an affine instance with n <= ORACLE_N_CAP."""
-    c, d = _affine_parts(inst)
     n = inst.n
+    parts = inst.f.affine_parts(n)
+    if parts is None:
+        raise ValueError("oracle enumeration requires a zero or affine implicit map")
+    c, d = parts
     if n > ORACLE_N_CAP:
         raise ValueError(f"oracle handles n <= {ORACLE_N_CAP}, got n = {n}")
 

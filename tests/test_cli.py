@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -381,7 +382,8 @@ def test_solve_bad_inputs(tmp_path):
         ("--omega", "abc", "--omega must be 'jacobi', 'identity' or a positive number, got 'abc'"),
         ("--omega", "-1", "--omega must be 'jacobi', 'identity' or a positive number, got '-1'"),
         ("--omega", "nan", "--omega must be 'jacobi', 'identity' or a positive number, got 'nan'"),
-        ("--start", "1,2,x", "--start must be 'zero' or 2 comma-separated numbers, got '1,2,x'"),
+        ("--start", "1,2,x", "--start must be 'zero' or 2 comma-separated finite numbers, got '1,2,x'"),
+        ("--start", "1,2,3", "--start must be 'zero' or 2 comma-separated finite numbers, got '1,2,3'"),
     ],
 )
 def test_solve_names_a_bad_flag_value(flag, value, message, tmp_path, capsys):
@@ -391,6 +393,18 @@ def test_solve_names_a_bad_flag_value(flag, value, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_solve_rejects_a_non_finite_start(bad, tmp_path, capsys):
+    # A non-finite start is a bad flag value, not a run that diverges at once.
+    p = tmp_path / "ok.json"
+    save_instance(str(p), IcpInstance(A=np.eye(3), b=np.zeros(3)))
+    value = f"1,2,{bad}"
+    assert main(["solve", str(p), "--start", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --start must be 'zero' or 3 comma-separated finite numbers, got '{value}'\n"
 
 
 def test_verify_without_delta_functions_is_named(tmp_path, capsys):
@@ -426,6 +440,24 @@ def test_oracle_into_a_closed_pipe_prints_no_traceback(tmp_path):
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_oracle_into_a_closed_pipe_in_process_closes_its_descriptors(tmp_path, monkeypatch):
+    # main points the broken stdout at devnull and must not keep the
+    # descriptor it opened for that: one leaked per broken pipe adds up in a
+    # long-lived caller.
+    p = tmp_path / "lcp2.json"
+    save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["oracle", str(p)]) == 1
+        after = len(os.listdir("/proc/self/fd"))
+        monkeypatch.undo()
+    assert after == before
 
 
 def test_oracle_command(tmp_path, capsys):

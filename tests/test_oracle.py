@@ -377,8 +377,8 @@ def assert_tree_matches_full_path(inst):
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", [8, 9, 10, 11])
+# n = 13 runs the top level breadth-first and descends from each of its nodes.
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 9, 10, 11) for seed in range(3)] + [(13, 0)])
 @pytest.mark.parametrize("f_family", F_FAMILIES)
 @pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
 def test_tree_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
@@ -468,6 +468,34 @@ def test_zero_root_pivot_sends_its_subtree_to_the_full_path(monkeypatch):
     monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
     result = enumerate_solutions(inst)
     assert np.array_equal(np.sort(np.concatenate(sent)), np.arange(0, 1 << n, 2))
+    assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
+    monkeypatch.undo()
+    assert_tree_matches_full_path(inst)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pivot_failures_in_both_tree_phases_fall_back(monkeypatch):
+    # At n = 13 the tree runs level 0 breadth-first and descends from each of
+    # its nodes.  With f = 0, M = A, and A_00 = A_11 = 0: the root pivot fails
+    # in the breadth-first level, so every set with bit 0 clear goes to the
+    # full path, and the one head left, which keeps z_0 = 0, fails its pivot
+    # on (1, 1) inside its descent, which sends the sets with bit 0 set and
+    # bit 1 clear.  The planted x has x_0 = 1, so only the full path finds it.
+    n = 13
+    rng = np.random.default_rng(11)
+    a = diag_dominant(rng, n)
+    a[0, 0] = a[1, 1] = 0.0
+    x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.5, 1.0, n))
+    x[0] = 1.0
+    inst = IcpInstance(A=a, b=np.where(x > 0.0, 0.0, rng.uniform(0.5, 1.0, n)) - a @ x, f=ZeroMap())
+    assert takes_tree(inst)
+    sent, full_batches = [], oracle._full_batches
+    monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
+    result = enumerate_solutions(inst)
+    ids = np.arange(1 << n)
+    expected = ids[((ids & 1) == 0) | ((ids & 3) == 1)]
+    assert len(expected) == 6144
+    assert np.array_equal(np.sort(np.concatenate(sent)), expected)
     assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
     monkeypatch.undo()
     assert_tree_matches_full_path(inst)
