@@ -15,8 +15,9 @@ Subcommands and exit codes:
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
-scaling pairs.  An instance with n > 16 is beyond the oracle, so ``verify``
-writes its rows but fails it with an "oracle unavailable" line (exit 1).
+scaling pairs.  A residual that is not finite fails.  An instance with
+n > 16 is beyond the oracle: its rows are written, but it fails with an
+"oracle unavailable" line (exit 1).
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def _collect_points(
     return points, failures
 
 
+# Extreme data overflows; the residuals that are not finite fail below.
+@np.errstate(all="ignore")
 def _verify_unit(
     index: int,
     unit: LoadedInstance,
@@ -316,8 +319,7 @@ def _verify_unit(
     for omega1, omega2 in scalings:
         scaled = np.abs(scaled_residual(inst, stack, omega1, omega2))
         scaled_norm = np.max(scaled, axis=1)
-        # As max(worst, norm) in Python: a nan norm never replaces the worst.
-        scaled_worst = np.where(scaled_norm > scaled_worst, scaled_norm, scaled_worst)
+        scaled_worst = np.maximum(scaled_worst, scaled_norm)
         entry_max = np.maximum(omega1.diag, omega2.diag)
         entry_min = np.minimum(omega1.diag, omega2.diag)
         # Componentwise zero-set equality, rendered as the two one-sided
@@ -374,13 +376,17 @@ def _verify_unit(
             # Zero-set agreement: an exact zero of R forces an exact zero of G;
             # the converse holds up to the evaluation roundoff of G (its three
             # delta calls can absorb a sub-ulp complementarity violation).
-            if norm == 0.0 and g_norm != 0.0:
+            if norm == 0.0 and 0.0 < g_norm < math.inf:
                 failures.append(f"{label}: R is exactly zero but G:{name} is not")
             if g_norm == 0.0 and norm > roundoff:
                 failures.append(f"{label}: G:{name} is exactly zero but |R| = {norm:.3e}")
             rows.append(
                 ResultRow(unit.instance_id, inst.n, f"G:{name}", source, g_norm, is_sol, iters, delta_ms)
             )
+    # nan fails none of the comparisons above, and inf not all of them.
+    for row in rows:
+        if not math.isfinite(row.residual_inf):
+            failures.append(f"{row.instance_id}/{row.point_source}: {row.formulation} residual is not finite")
     return rows, failures
 
 

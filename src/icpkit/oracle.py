@@ -14,8 +14,8 @@ LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
 Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)",
-one batched rank-one update over the level's tableaux, stored batch-last as
-(n, columns, nodes) so that each op runs over one contiguous vector of nodes.
+one rank-one update over a batch of column-major (columns, n, nodes)
+tableaux, halved before any level that would outgrow _LEVEL_BYTES.
 A leaf whose last column has a clearly negative entry is dropped (see
 _Z_MARGIN); r = P (z + d) is rebuilt for the others.  A pivot that grows the
 tableau past what the tolerances allow sends its subtree to the full n x n
@@ -73,9 +73,9 @@ _ROUNDING_SHARE = 0.1
 # the margin is a hundred times that bound times 1 + |last column| + |d|, per
 # leaf (inf-norms), which is at least 1 + |z| + |d|.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
-# The tree runs its top n - _TREE_DEPTH levels breadth-first and the rest per
-# node of that level, so a level holds at most 2^_TREE_DEPTH nodes (1 MiB).
-_TREE_DEPTH = 12
+# A tree batch halves before a level whose tableaux would pass this many bytes,
+# so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB peaked higher).
+_LEVEL_BYTES = 1 << 18
 
 
 @dataclass
@@ -143,8 +143,7 @@ def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], lis
                 taken[j] = False
                 continue
         insort(shared, (tj, j))
-    kept = list(compress(range(len(points)), taken))
-    return [points[j].copy() for j in kept], [flags[j] for j in kept]
+    return list(points[taken]), list(compress(flags, taken))
 
 
 def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
@@ -163,10 +162,11 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     q = m @ d + inst.b
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
         return None
-    norms = [np.abs(a).sum(axis=1).max() for a in (ic, inst.A, p)]
-    s = max(np.abs(d).max(), np.abs(q).max(), 1.0)
+    # In Python floats, huge |d| or |q| takes the estimate to inf without a warning.
+    norms = [float(np.abs(a).sum(axis=1).max()) for a in (ic, inst.A, p)]
+    s = float(max(np.abs(d).max(), np.abs(q).max(), 1.0))
     share = _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
-    unit = n * np.finfo(float).eps * s
+    unit = n * float(np.finfo(float).eps) * s
     if unit * max(norms[0], norms[1]) * norms[2] * s > share:
         return None
     return p, m, q, share / unit
@@ -191,21 +191,22 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
 def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
     """Level i of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
 
-    t[:, :, k] is node k's tableau, columns i..n-1 of its transformed M and
-    then q, and g[k] bounds its entries.  Both children drop column i, t[:, 0],
-    whose variable is 0 at the leaves.  Also returns the nodes whose pivot failed.
+    t[c, :, k] is column c of node k's tableau (columns i..n-1 of its M, then
+    q), and g[k] bounds its entries.  Both children drop column i, t[0], whose
+    variable is 0 at the leaves.  Also returns the nodes whose pivot failed.
     """
-    col, rest = t[:, 0], t[:, 1:]
-    row, piv = rest[i], col[i]
+    col, rest = t[0], t[1:]
+    row, piv = rest[:, i], col[i]
     grow = np.abs(col).max(axis=0, initial=1.0) * np.abs(row).max(axis=0, initial=1.0)
     ok = grow <= (g_max - g) * np.abs(piv)  # g + grow / |piv| <= g_max, false for a zero pivot
     sel = slice(None) if ok.all() else ok
-    row, piv, col = row[:, sel], piv[sel], col[:, sel]
+    piv = piv[sel]
+    rp = row[:, sel] / piv
     out = np.empty(rest.shape[:2] + (len(piv) + len(ids),))
     child = out[:, :, : len(piv)]
-    np.multiply((col / piv)[:, None], row, out=child)
+    np.multiply(col[:, sel], rp[:, None], out=child)
     np.subtract(rest[:, :, sel], child, out=child)
-    np.divide(row, -piv, out=child[i])
+    np.negative(rp, out=child[:, i])
     out[:, :, len(piv) :] = rest
     g_child = g[sel] + grow[sel] / np.abs(piv)
     return out, np.concatenate([ids[sel], ids | 1 << i]), np.concatenate([g_child, g]), ids[~ok]
@@ -214,28 +215,28 @@ def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
 def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
     """(ids, points, 0) per batch of leaves that pass _Z_MARGIN, then the full path's batches of unstable ones.
 
-    A level's tableaux are stored batch-last, (n, columns, nodes).
+    A batch runs each level whole until the next would pass _LEVEL_BYTES, then
+    halves; a copy of one half, not a view that pins the batch, waits on a stack.
     """
     n = inst.n
     unstable = [np.zeros(0, dtype=np.int64)]
-
-    def descend(t, ids, g, levels):
-        for i in levels:
+    root = np.vstack([m.T, q])[:, :, None]
+    stack = [(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0)]
+    while stack:
+        t, ids, g, start = stack.pop()
+        for i in range(start, n):
+            while len(ids) > 1 and 2 * t[1:].nbytes > _LEVEL_BYTES:
+                h = len(ids) // 2
+                stack.append((t[:, :, h:].copy(), ids[h:], g[h:], i))
+                t, ids, g = t[:, :, :h], ids[:h], g[:h]
             t, ids, g, bad = _split(t, ids, g, i, g_max)
             if len(bad):
                 # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
-        return t, ids, g
-
-    root = np.hstack([m, q[:, None]])[:, :, None]
-    top = max(n - _TREE_DEPTH, 0)
-    heads, head_ids, head_g = descend(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), range(top))
-    for k in range(len(head_ids)):
-        t, ids, _ = descend(heads[:, :, k : k + 1], head_ids[k : k + 1], head_g[k : k + 1], range(top, n))
         # The last column holds w_i where bit i is set and z_i elsewhere.
-        last = t[:, 0]
+        last = t[0]
         margin = _Z_MARGIN * (1.0 + np.abs(last).max(axis=0) + np.abs(d).max())
-        keep = ~np.any(last < -(ORACLE_TOL.feas_tol + margin), axis=0)
+        keep = last.min(axis=0) >= -(ORACLE_TOL.feas_tol + margin)
         z = np.where((ids[keep, None] >> np.arange(n)) & 1, 0.0, last[:, keep].T)
         yield ids[keep], (z + d) @ p.T, 0
     yield from _full_batches(inst, ic, d, np.concatenate(unstable))

@@ -259,7 +259,7 @@ def test_stacked_campaign_matches_per_point_calls():
             norms = [float(np.max(np.abs(natural_residual(inst, point))))]
             worst = 0.0
             for omega1, omega2 in _draw_scalings(inst.n, 3, index):
-                worst = max(worst, float(np.max(np.abs(scaled_residual(inst, point, omega1, omega2)))))
+                worst = float(np.maximum(worst, np.max(np.abs(scaled_residual(inst, point, omega1, omega2)))))
             norms.append(worst)
             norms += [float(np.max(np.abs(delta_residual(inst, point, d)))) for d in DELTA_CATALOG.values()]
             expected += [(unit.instance_id, source, iters, np.float64(x).tobytes(), solution) for x in norms]
@@ -422,6 +422,35 @@ def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert np.allclose(json.loads(proc.stdout)["solutions"], [[1.5e308, 1.7e308]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "doc, flags, some",
+    [
+        # Near the largest float, the cubic delta of F - H overflows at the
+        # perturbed points, while the solver's end point is exact.
+        ('{"n": 1, "A": [1e308], "b": [-1e308], "f": {"type": "zero"}}', ["--solver"], "perturbed: G:cubic"),
+        # At the solution 0, H = 1e200: R is exactly 0, but H^3 overflows.
+        ('{"n": 1, "A": [1], "b": [0], "f": {"type": "affine", "C": [0], "d": [-1e200]}}', [], "oracle: G:cubic"),
+        # At the planted point F = -inf, so R and Rbar are infinite as well.
+        ('{"n": 1, "A": [-1e308], "b": [0], "f": {"type": "zero"}, "planted": [1e308]}', [], "perturbed: Rbar"),
+    ],
+    ids=["cubic_overflow", "cubic_at_a_solution", "infinite_R"],
+)
+def test_verify_fails_each_residual_that_is_not_finite(doc, flags, some, tmp_path, capsys):
+    p, out = tmp_path / "big.json", tmp_path / "rows.json"
+    p.write_text(doc)
+    assert main(["verify", str(p), *flags, "--out", "json", "--out-path", str(out)]) == 1
+    err = capsys.readouterr().err
+    suffix = " residual is not finite"
+    fails = sorted(line[len("FAIL big/") : -len(suffix)] for line in err.splitlines() if line.endswith(suffix))
+    rows = json.loads(out.read_text())
+    # JSON writes a residual that is not finite as null.
+    not_finite = [f"{row['point_source']}: {row['formulation']}" for row in rows if row["residual_inf"] is None]
+    assert fails == sorted(not_finite)
+    assert some in fails
+    assert "exactly zero" not in err
 
 
 def test_oracle_into_a_closed_pipe_prints_no_traceback(tmp_path):

@@ -1,5 +1,6 @@
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,24 +361,30 @@ def certify_answer(inst, r):
         return "undecided"
 
 
+def assert_results_agree(tree, full):
+    """The same solutions within DEDUP_RADIUS, in order, with the same flags and counts."""
+    assert len(tree.solutions) == len(full.solutions)
+    for x, y in zip(tree.solutions, full.solutions):
+        assert np.max(np.abs(x - y)) <= DEDUP_RADIUS
+    assert tree.degenerate_flags == full.degenerate_flags
+    assert tree.singular_skipped == full.singular_skipped
+    assert tree.subsets_tested == full.subsets_tested
+
+
 def assert_tree_matches_full_path(inst):
     tree, full = enumerate_solutions(inst), on_full_path(enumerate_solutions, inst)
     if not takes_tree(inst):
         # Both sides ran the full path.
         assert pickle.dumps(tree) == pickle.dumps(full)
         return
-    assert len(tree.solutions) == len(full.solutions)
-    for x, y in zip(tree.solutions, full.solutions):
-        assert np.max(np.abs(x - y)) <= DEDUP_RADIUS
-    assert tree.degenerate_flags == full.degenerate_flags
-    assert tree.singular_skipped == full.singular_skipped
-    assert tree.subsets_tested == full.subsets_tested == 1 << inst.n
+    assert_results_agree(tree, full)
+    assert tree.subsets_tested == 1 << inst.n
     probes = [np.zeros(inst.n)] + full.solutions[:1] + [s + 1e-3 for s in full.solutions[:1]]
     for r in probes:
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
-# n = 13 runs the top level breadth-first and descends from each of its nodes.
+# At n = 13 the tree halves its batch before level 8 (see _LEVEL_BYTES).
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 9, 10, 11) for seed in range(3)] + [(13, 0)])
 @pytest.mark.parametrize("f_family", F_FAMILIES)
 @pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
@@ -451,8 +458,26 @@ def test_near_singular_block_in_i_minus_c_keeps_the_solution(delta, seed):
     assert_tree_matches_full_path(inst)
 
 
+def planted_lcp(a, rng):
+    """(instance, x): f = 0, so M = A, and b plants x, with x_0 = 1, F_0 = 0 and x = 0 on A's zero columns."""
+    n = len(a)
+    x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.5, 1.0, n))
+    x[~a.any(axis=0)] = 0.0
+    x[0] = 1.0
+    return IcpInstance(A=a, b=np.where(x > 0.0, 0.0, rng.uniform(0.5, 1.0, n)) - a @ x, f=ZeroMap()), x
+
+
+def enumerate_with_fallback_ids(inst):
+    """(result, sorted index sets sent to the full path) of one enumeration."""
+    sent, full_batches = [], oracle._full_batches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
+        result = enumerate_solutions(inst)
+    return result, np.sort(np.concatenate(sent))
+
+
 @pytest.mark.filterwarnings("error")
-def test_zero_root_pivot_sends_its_subtree_to_the_full_path(monkeypatch):
+def test_zero_root_pivot_sends_its_subtree_to_the_full_path():
     # f = 0 makes M = A, and A_00 = 0 is the tree's first pivot, so every
     # index set that leaves index 0 free (bit 0 clear) is solved by the full
     # path, and so is the planted solution x, which has x_0 = 1 and F_0 = 0.
@@ -460,42 +485,97 @@ def test_zero_root_pivot_sends_its_subtree_to_the_full_path(monkeypatch):
     rng = np.random.default_rng(11)
     a = diag_dominant(rng, n)
     a[0, 0] = 0.0
-    x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.5, 1.0, n))
-    x[0] = 1.0
-    inst = IcpInstance(A=a, b=np.where(x > 0.0, 0.0, rng.uniform(0.5, 1.0, n)) - a @ x, f=ZeroMap())
+    inst, x = planted_lcp(a, rng)
     assert takes_tree(inst)
-    sent, full_batches = [], oracle._full_batches
-    monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
-    result = enumerate_solutions(inst)
-    assert np.array_equal(np.sort(np.concatenate(sent)), np.arange(0, 1 << n, 2))
+    result, sent = enumerate_with_fallback_ids(inst)
+    assert np.array_equal(sent, np.arange(0, 1 << n, 2))
+    assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
+    assert_tree_matches_full_path(inst)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
+    # At n = 13 the root runs as one node, but the level-10 tableaux of all
+    # 2^10 nodes take 2^10 x 4 x 13 floats (416 KiB), past _LEVEL_BYTES, so
+    # level 10 runs in several batches.  With f = 0, M = A, and A_00 = 0: the
+    # root pivot fails, so every set with bit 0 clear goes to the full path.
+    # Column 10 of A is 0, so it stays 0 under every pivot, and each node's
+    # pivot on (10, 10) fails, in every batch, which sends the sets with
+    # bit 10 clear.  The planted x has x_0 = 1, so only the full path finds it.
+    n = 13
+    rng = np.random.default_rng(11)
+    a = diag_dominant(rng, n)
+    a[0, 0] = 0.0
+    a[:, 10] = 0.0
+    inst, x = planted_lcp(a, rng)
+    assert takes_tree(inst)
+    calls, split = [], oracle._split
+
+    def recording_split(t, ids, g, i, g_max):
+        calls.append((i, len(ids)))
+        return split(t, ids, g, i, g_max)
+
+    monkeypatch.setattr(oracle, "_split", recording_split)
+    result, sent = enumerate_with_fallback_ids(inst)
+    assert calls[0] == (0, 1)
+    assert sum(i == 10 for i, _ in calls) > 1
+    ids = np.arange(1 << n)
+    expected = ids[((ids & 1) == 0) | ((ids & 1 << 10) == 0)]
+    assert len(expected) == 6144
+    assert np.array_equal(sent, expected)
     assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
     monkeypatch.undo()
     assert_tree_matches_full_path(inst)
 
 
 @pytest.mark.filterwarnings("error")
-def test_pivot_failures_in_both_tree_phases_fall_back(monkeypatch):
-    # At n = 13 the tree runs level 0 breadth-first and descends from each of
-    # its nodes.  With f = 0, M = A, and A_00 = A_11 = 0: the root pivot fails
-    # in the breadth-first level, so every set with bit 0 clear goes to the
-    # full path, and the one head left, which keeps z_0 = 0, fails its pivot
-    # on (1, 1) inside its descent, which sends the sets with bit 0 set and
-    # bit 1 clear.  The planted x has x_0 = 1, so only the full path finds it.
-    n = 13
-    rng = np.random.default_rng(11)
-    a = diag_dominant(rng, n)
-    a[0, 0] = a[1, 1] = 0.0
-    x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.5, 1.0, n))
-    x[0] = 1.0
-    inst = IcpInstance(A=a, b=np.where(x > 0.0, 0.0, rng.uniform(0.5, 1.0, n)) - a @ x, f=ZeroMap())
+@pytest.mark.parametrize("family", [f"{m}-{f}" for m in MATRIX_FAMILIES for f in F_FAMILIES] + ["A00_A11_zero"])
+def test_one_node_batches_match_the_default_budget_and_the_full_path(family, monkeypatch):
+    # A budget of one byte halves every batch down to one node before each
+    # level.  The order of the nodes changes, but not their pivots, so the
+    # same sets fall back; rebuilding r one leaf at a time may round
+    # differently, so the results agree within DEDUP_RADIUS.
+    if family == "A00_A11_zero":
+        rng = np.random.default_rng(11)
+        a = diag_dominant(rng, 13)
+        a[0, 0] = a[1, 1] = 0.0
+        inst = planted_lcp(a, rng)[0]
+    else:
+        matrix_family, f_family = family.split("-")
+        spec = GeneratorSpec(n=13, seed=0, matrix_family=matrix_family, f_family=f_family, gamma=0.5)
+        inst = generate_planted(spec)[0]
     assert takes_tree(inst)
-    sent, full_batches = [], oracle._full_batches
-    monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1]) or full_batches(*args))
+    default, default_sent = enumerate_with_fallback_ids(inst)
+    monkeypatch.setattr(oracle, "_LEVEL_BYTES", 1)
+    single, single_sent = enumerate_with_fallback_ids(inst)
+    assert np.array_equal(single_sent, default_sent)
+    assert_results_agree(single, default)
+    assert_results_agree(single, on_full_path(enumerate_solutions, inst))
+
+
+@pytest.mark.parametrize("matrix_family", ["diag_dominant", "dense"])
+def test_tree_memory_stays_within_two_mib_at_n16(matrix_family):
+    # Every level's tableaux stay near _LEVEL_BYTES, and the halves left on
+    # the stack are copies, not views that keep their whole batch alive.
+    spec = GeneratorSpec(n=16, seed=1, matrix_family=matrix_family, f_family="contractive_affine", gamma=0.5)
+    inst = generate_planted(spec)[0]
+    assert takes_tree(inst)
+    tracemalloc.start()
+    try:
+        enumerate_solutions(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduction_overflow_sends_huge_data_to_the_full_path_silently():
+    # With s = |d| = 1e200 the rounding estimate of _ROUNDING_SHARE, which
+    # holds s^2, overflows; that inf must send the instance down the full
+    # path without a warning.
+    inst = IcpInstance(A=np.eye(1), b=np.zeros(1), f=AffineMap(np.zeros((1, 1)), np.array([-1e200])))
+    assert not takes_tree(inst)
     result = enumerate_solutions(inst)
-    ids = np.arange(1 << n)
-    expected = ids[((ids & 1) == 0) | ((ids & 3) == 1)]
-    assert len(expected) == 6144
-    assert np.array_equal(np.sort(np.concatenate(sent)), expected)
-    assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
-    monkeypatch.undo()
-    assert_tree_matches_full_path(inst)
+    assert len(result.solutions) == 1
+    assert np.array_equal(result.solutions[0], [0.0])
