@@ -5,8 +5,9 @@ boundary (finite entries, length >= 1, squareness) and marked read-only so
 instances can be shared freely between threads.  The linear solver is Gauss
 elimination with partial pivoting over a batch of systems, because the
 enumeration oracle needs to solve thousands of small systems at once.  The
-batch is stored batch-last so that one elimination step is one contiguous
-update across it, and back-substitution reads that layout in place.
+batch is stored batch-last, each matrix augmented with its right-hand side as
+one more column, so that one elimination step is one contiguous update across
+it, and back-substitution reads that layout in place.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     Returns ``(solutions, singular)`` where ``singular`` marks systems whose
     pivot fell below PIVOT_REL_TOL times the system's max-magnitude entry;
     their solution rows are meaningless and must be ignored by the caller.
-    The batch is copied once to a batch-last layout, so that every
-    elimination step is one contiguous in-place update over it, and
-    back-substitution reads that same copy.
     """
     a = np.asarray(mats, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -66,46 +64,36 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
 
     scale = np.abs(a).reshape(m, -1).max(axis=1, initial=0.0)
     thresh = PIVOT_REL_TOL * np.where(scale > 0.0, scale, 1.0)
-    # Explicit copies: for m = 1 the transposes are already contiguous views.
-    u = a.transpose(1, 2, 0).copy()
-    v = b.T.copy()
-    singular = np.zeros(m, dtype=bool)
-    batch = np.arange(m)
+    # w[r, c, s] is entry (r, c) of system s's augmented matrix [A | b].
+    w = np.empty((n, n + 1, m))
+    w[:, :n], w[:, n] = a.transpose(1, 2, 0), b.T
+    # Per step and system: whether the pivot is small (singular), and the pivot or 1.0 if so.
+    pivots, small = np.empty((n, m)), np.empty((n, m), dtype=bool)
 
     for k in range(n):
-        mag = np.abs(u[k:, k])
-        p = mag.argmax(axis=0)
-        singular |= mag[p, batch] <= thresh
-        p += k
+        mag = np.abs(w[k:, k])
+        p = k + mag.argmax(axis=0)
+        small[k] = mag.max(axis=0) <= thresh
 
         moved = np.flatnonzero(p != k)
         if moved.size:
             pm = p[moved]
             # Columns left of k are never read again, in either row.
-            rows_k = u[k, k:, moved]
-            u[k, k:, moved] = u[pm, k:, moved]
-            u[pm, k:, moved] = rows_k
-            rhs_k = v[k, moved]
-            v[k, moved] = v[pm, moved]
-            v[pm, moved] = rhs_k
+            w[k, k:, moved], w[pm, k:, moved] = w[pm, k:, moved], w[k, k:, moved]
 
-        pivot = u[k, k]
-        pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
-        factor = u[k + 1 :, k] / pivot
+        pivots[k] = np.where(small[k], 1.0, w[k, k])
+        factor = w[k + 1 :, k] / pivots[k]
         # Column k below the pivot is not updated: nothing reads it again.
-        u[k + 1 :, k + 1 :] -= factor[:, None] * u[k, k + 1 :]
-        v[k + 1 :] -= factor * v[k]
+        w[k + 1 :, k + 1 :] -= factor[:, None] * w[k, k + 1 :]
 
     # Each back-substitution product is written batch-first (order="C"), so
     # numpy sums its contiguous rows pairwise; a sum over the batch-last
     # layout would add the terms sequentially and change the last bits.
     x = np.zeros((m, n))
     for k in range(n - 1, -1, -1):
-        tail = np.multiply(u[k, k + 1 :].T, x[:, k + 1 :], order="C").sum(axis=1)
-        pivot = u[k, k]
-        pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
-        x[:, k] = (v[k] - tail) / pivot
-    return x, singular
+        tail = np.multiply(w[k, k + 1 : n].T, x[:, k + 1 :], order="C").sum(axis=1)
+        x[:, k] = (w[k, n] - tail) / pivots[k]
+    return x, small.any(axis=0)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ principal pivots.  With P = (I - C)^-1, z = H(r) turns the ICP into
 LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
-Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)",
-one rank-one update over a batch of column-major (columns, n, nodes)
-tableaux, halved before any level that would outgrow _LEVEL_BYTES.
-A leaf whose last column has a clearly negative entry is dropped (see
-_Z_MARGIN); r = P (z + d) is rebuilt for the others.  A pivot that grows the
+Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)", one
+rank-one update over a batch of column-major (columns, n, nodes) tableaux,
+halved before any level that would outgrow _LEVEL_BYTES; levels alternate
+between two buffers allocated once.  A leaf whose last column has a clearly
+negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
+others, which reach check_solution as one batch.  A pivot that grows the
 tableau past what the tolerances allow sends its subtree to the full n x n
 path (see _ROUNDING_SHARE), which runs whole when I - C is singular or
 ill-conditioned; only that path counts singular_skipped.  Both paths'
-candidates go through check_solution, the one solution test, and the two
-agree within DEDUP_RADIUS: the same solutions in order, with the same flags.
+candidates go through check_solution, the one solution test, and the two agree
+within DEDUP_RADIUS: the same solutions in order, with the same flags.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -74,7 +75,8 @@ _ROUNDING_SHARE = 0.1
 # leaf (inf-norms), which is at least 1 + |z| + |d|.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
 # A tree batch halves before a level whose tableaux would pass this many bytes,
-# so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB peaked higher).
+# so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB peaked
+# higher), and it sizes the tree's three level buffers.
 _LEVEL_BYTES = 1 << 18
 
 
@@ -94,9 +96,6 @@ class OracleResult:
     subsets_tested: int
 
 
-# Keys, half-widths and distances of candidates near the largest float
-# overflow to inf or nan, which the windows below are built to absorb.
-@np.errstate(over="ignore", invalid="ignore")
 def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], list[bool]]:
     """First-match dedup of the candidate rows of points, in order.
 
@@ -188,21 +187,24 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
         yield chunk[~singular], points[~singular], int(singular.sum())
 
 
-def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
+def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: np.ndarray, scratch: np.ndarray):
     """Level i of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
 
     t[c, :, k] is column c of node k's tableau (columns i..n-1 of its M, then
     q), and g[k] bounds its entries.  Both children drop column i, t[0], whose
-    variable is 0 at the leaves.  Also returns the nodes whose pivot failed.
+    variable is 0 at the leaves.  The children fill the front of the flat
+    buffer out, which must not hold t; the flat buffer scratch takes the
+    growth bound's |entries|.  Also returns the nodes whose pivot failed.
     """
     col, rest = t[0], t[1:]
     row, piv = rest[:, i], col[i]
-    grow = np.abs(col).max(axis=0, initial=1.0) * np.abs(row).max(axis=0, initial=1.0)
+    grow = np.abs(col, out=scratch[: col.size].reshape(col.shape)).max(axis=0, initial=1.0)
+    grow *= np.abs(row, out=scratch[: row.size].reshape(row.shape)).max(axis=0, initial=1.0)
     ok = grow <= (g_max - g) * np.abs(piv)  # g + grow / |piv| <= g_max, false for a zero pivot
     sel = slice(None) if ok.all() else ok
     piv = piv[sel]
     rp = row[:, sel] / piv
-    out = np.empty(rest.shape[:2] + (len(piv) + len(ids),))
+    out = out[: rest[:, :, 0].size * (len(piv) + len(ids))].reshape(rest.shape[:2] + (-1,))
     child = out[:, :, : len(piv)]
     np.multiply(col[:, sel], rp[:, None], out=child)
     np.subtract(rest[:, :, sel], child, out=child)
@@ -213,13 +215,19 @@ def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float):
 
 
 def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
-    """(ids, points, 0) per batch of leaves that pass _Z_MARGIN, then the full path's batches of unstable ones.
+    """(ids, points, 0) of all leaves that pass _Z_MARGIN as one batch, then the full path's batches of unstable ones.
 
     A batch runs each level whole until the next would pass _LEVEL_BYTES, then
-    halves; a copy of one half, not a view that pins the batch, waits on a stack.
+    halves; a copy of one half, not a view that pins the batch, waits on a
+    stack.  Level i writes into buffer i % 2, free of its parents; buffer 2 is
+    _split's scratch.
     """
     n = inst.n
+    # Only a one-node batch, whose children take 2 n^2 floats at most, passes _LEVEL_BYTES.
+    size = min(max(_LEVEL_BYTES // 8, 2 * n * n), max((n - i) * n << (i + 1) for i in range(n)))
+    bufs = [np.empty(size) for _ in range(3)]
     unstable = [np.zeros(0, dtype=np.int64)]
+    found = []  # (ids, points) of each batch's leaves that pass _Z_MARGIN
     root = np.vstack([m.T, q])[:, :, None]
     stack = [(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0)]
     while stack:
@@ -229,19 +237,23 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
                 h = len(ids) // 2
                 stack.append((t[:, :, h:].copy(), ids[h:], g[h:], i))
                 t, ids, g = t[:, :, :h], ids[:h], g[:h]
-            t, ids, g, bad = _split(t, ids, g, i, g_max)
+            t, ids, g, bad = _split(t, ids, g, i, g_max, bufs[i % 2], bufs[2])
             if len(bad):
                 # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
         # The last column holds w_i where bit i is set and z_i elsewhere.
         last = t[0]
-        margin = _Z_MARGIN * (1.0 + np.abs(last).max(axis=0) + np.abs(d).max())
-        keep = last.min(axis=0) >= -(ORACLE_TOL.feas_tol + margin)
+        low = last.min(axis=0)
+        margin = _Z_MARGIN * (1.0 + np.maximum(last.max(axis=0), -low) + np.abs(d).max())
+        keep = low >= -(ORACLE_TOL.feas_tol + margin)
         z = np.where((ids[keep, None] >> np.arange(n)) & 1, 0.0, last[:, keep].T)
-        yield ids[keep], (z + d) @ p.T, 0
+        found.append((ids[keep], (z + d) @ p.T))
+    yield *map(np.concatenate, zip(*found)), 0
     yield from _full_batches(inst, ic, d, np.concatenate(unstable))
 
 
+# Near the largest float, M, q, candidates, H, F and _merge's keys overflow harmlessly.
+@np.errstate(over="ignore", invalid="ignore")
 def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     """Enumerate every solution of an affine instance with n <= ORACLE_N_CAP."""
     n = inst.n

@@ -425,6 +425,22 @@ def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_oracle_on_overflowing_data_reports_no_solution_without_warnings(tmp_path, capsys):
+    # q = A P d + b overflows, so the full path runs.  The two systems that
+    # take row 0 from A have scale 1e200, so their second pivot, 1, counts as
+    # singular.  The other two give r_0 = 1e200, whose F_0 overflows, so
+    # check_solution rejects them: no solution, exit code 3.
+    p = tmp_path / "overflow.json"
+    p.write_text('{"n": 2, "A": [1e200, 0, 0, 1], "b": [0, 1], "f": {"type": "affine", "C": [0, 0, 0, 0], "d": [1e200, 0]}}')
+    assert main(["oracle", str(p)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["solutions"] == []
+    assert report["singular_skipped"] == 2
+    assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "doc, flags, some",
     [

@@ -511,9 +511,9 @@ def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     assert takes_tree(inst)
     calls, split = [], oracle._split
 
-    def recording_split(t, ids, g, i, g_max):
+    def recording_split(t, ids, g, i, *rest):
         calls.append((i, len(ids)))
-        return split(t, ids, g, i, g_max)
+        return split(t, ids, g, i, *rest)
 
     monkeypatch.setattr(oracle, "_split", recording_split)
     result, sent = enumerate_with_fallback_ids(inst)
@@ -526,6 +526,49 @@ def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     assert any(np.max(np.abs(s - x)) <= DEDUP_RADIUS for s in result.solutions)
     monkeypatch.undo()
     assert_tree_matches_full_path(inst)
+
+
+def test_split_writes_children_into_the_given_buffer_only():
+    # Level 1 reads its parents from buffer a, which level 0 wrote, and must
+    # write its children into buffer b alone, leaving a untouched.
+    n = 6
+    rng = np.random.default_rng(4)
+    inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=ZeroMap())
+    m, q, g_max = oracle._reduction(inst, np.eye(n), np.zeros(n))[1:]
+    root = np.vstack([m.T, q])[:, :, None]
+    a, b, scratch = (np.full(4 * n * n, np.nan) for _ in range(3))
+    t, ids, g, bad = oracle._split(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0, g_max, a, scratch)
+    assert np.shares_memory(t, a) and not np.shares_memory(t, b) and not len(bad)
+    parents = a.copy()
+    child, child_ids, _, bad = oracle._split(t, ids, g, 1, g_max, b, scratch)
+    assert np.shares_memory(child, b) and not np.shares_memory(child, a) and not len(bad)
+    assert np.array_equal(a, parents, equal_nan=True)
+    assert child.shape == (n - 1, n, 4) and child_ids.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("case", ["generated", "A00_zero"])
+def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
+    # At n = 13 the tree splits its nodes into several batches (see
+    # _LEVEL_BYTES), yet all its surviving leaves reach check_solution in one
+    # call.  With A_00 = 0 the 4096 sets with bit 0 clear fall back, and each
+    # 512-set chunk of the full path takes one more call.
+    rng = np.random.default_rng(11)
+    if case == "generated":
+        spec = GeneratorSpec(n=13, seed=0, matrix_family="diag_dominant", f_family="contractive_affine", gamma=0.5)
+        inst = generate_planted(spec)[0]
+    else:
+        a = diag_dominant(rng, 13)
+        a[0, 0] = 0.0
+        inst = planted_lcp(a, rng)[0]
+    assert takes_tree(inst)
+    levels, split = [], oracle._split
+    monkeypatch.setattr(oracle, "_split", lambda t, ids, g, i, *rest: levels.append(i) or split(t, ids, g, i, *rest))
+    calls, check = [], oracle.check_solution
+    monkeypatch.setattr(oracle, "check_solution", lambda *args: calls.append(args[1]) or check(*args))
+    sent = enumerate_with_fallback_ids(inst)[1]
+    assert levels.count(12) > 1
+    assert len(sent) == (0 if case == "generated" else 4096)
+    assert len(calls) == 1 + len(sent) // oracle._CHUNK
 
 
 @pytest.mark.filterwarnings("error")
