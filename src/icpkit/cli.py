@@ -8,10 +8,10 @@ round-trip decimals, so save/load reproduces residual evaluations bit for bit.
 
 Subcommands and exit codes:
 
-* ``gen``     write a seeded planted instance          (0 ok, 2 bad spec)
+* ``gen``     write a seeded planted instance          (0 ok, 2 bad spec or out of memory)
 * ``solve``   run the projection solver on a file      (0 converged, 1 not, 2 parse)
 * ``oracle``  enumerate all solutions of a file        (0 found, 3 empty, 2 parse/cap)
-* ``verify``  residual-equivalence campaign over files (0 pass, 1 failures, 2 parse)
+* ``verify``  residual-equivalence campaign over files (0 pass, 1 failures, 2 parse or out of memory)
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
@@ -431,8 +431,8 @@ def cmd_gen(args) -> int:
         spec = _spec_from_args(args)
         inst, planted, active_set = generate_planted(spec)
         save_instance(args.out, inst, planted=planted, seed=spec.seed, spec_echo=_spec_echo(spec, active_set))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 
@@ -527,8 +527,8 @@ def cmd_verify(args) -> int:
                 spec = replace(base, seed=base.seed + offset)
                 inst, planted, _ = generate_planted(spec)
                 units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     if not units:
         print("error: no instances given (pass paths or --gen)", file=sys.stderr)

@@ -16,7 +16,9 @@ holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
 Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)", one
 rank-one update over a batch of column-major (columns, n, nodes) tableaux,
 halved before any level that would outgrow _LEVEL_BYTES; levels alternate
-between two buffers allocated once.  A leaf whose last column has a clearly
+between two sets of buffers allocated once.  The last level writes only the
+pivot children, into a level buffer, and reads the other leaves' last column
+in place from their parents' q column.  A leaf whose last column has a clearly
 negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
 others, which reach check_solution as one batch.  A pivot that grows the
 tableau past what the tolerances allow sends its subtree to the full n x n
@@ -74,9 +76,10 @@ _ROUNDING_SHARE = 0.1
 # the margin is a hundred times that bound times 1 + |last column| + |d|, per
 # leaf (inf-norms), which is at least 1 + |z| + |d|.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
-# A tree batch halves before a level whose tableaux would pass this many bytes,
-# so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB peaked
-# higher), and it sizes the tree's three level buffers.
+# A tree batch halves before a level below n - 1 whose tableaux would pass this
+# many bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
+# peaked higher), and it sizes the tree's two level buffers and its scratch;
+# the last level writes no more than its parents hold.
 _LEVEL_BYTES = 1 << 18
 
 
@@ -187,67 +190,99 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
         yield chunk[~singular], points[~singular], int(singular.sum())
 
 
-def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: np.ndarray, scratch: np.ndarray):
-    """Level i of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
+def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: tuple, scratch: np.ndarray):
+    """Level i < n - 1 of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
 
     t[c, :, k] is column c of node k's tableau (columns i..n-1 of its M, then
     q), and g[k] bounds its entries.  Both children drop column i, t[0], whose
-    variable is 0 at the leaves.  The children fill the front of the flat
-    buffer out, which must not hold t; the flat buffer scratch takes the
-    growth bound's |entries|.  Also returns the nodes whose pivot failed.
+    variable is 0 at the leaves.  The children's tableaux, ids and bounds fill
+    the fronts of out's three flat buffers, which must not hold t, ids or g;
+    the flat buffer scratch takes the growth bound's |entries|, then the pivot
+    children.  Also returns the nodes whose pivot failed.
     """
     col, rest = t[0], t[1:]
     row, piv = rest[:, i], col[i]
     grow = np.abs(col, out=scratch[: col.size].reshape(col.shape)).max(axis=0, initial=1.0)
     grow *= np.abs(row, out=scratch[: row.size].reshape(row.shape)).max(axis=0, initial=1.0)
-    ok = grow <= (g_max - g) * np.abs(piv)  # g + grow / |piv| <= g_max, false for a zero pivot
-    sel = slice(None) if ok.all() else ok
+    mag = np.abs(piv)
+    ok = grow <= (g_max - g) * mag  # g + grow / |piv| <= g_max, false for a zero pivot
+    sel, bad = (slice(None), ids[:0]) if ok.all() else (ok, ids[~ok])
     piv = piv[sel]
     rp = row[:, sel] / piv
-    out = out[: rest[:, :, 0].size * (len(piv) + len(ids))].reshape(rest.shape[:2] + (-1,))
-    child = out[:, :, : len(piv)]
+    k = len(piv)
+    tab = out[0][: rest[:, :, 0].size * (k + len(ids))].reshape(rest.shape[:2] + (-1,))
+    child_ids, child_g = (a[: k + len(ids)] for a in out[1:])
+    # Build the pivot children in scratch, where the update runs over
+    # contiguous blocks, then copy them to the front of each row of tab: at
+    # n = 16 numpy runs the update about twice as fast that way.
+    child = scratch[: rest[:, :, 0].size * k].reshape(rest.shape[:2] + (k,))
     np.multiply(col[:, sel], rp[:, None], out=child)
     np.subtract(rest[:, :, sel], child, out=child)
     np.negative(rp, out=child[:, i])
-    out[:, :, len(piv) :] = rest
-    g_child = g[sel] + grow[sel] / np.abs(piv)
-    return out, np.concatenate([ids[sel], ids | 1 << i]), np.concatenate([g_child, g]), ids[~ok]
+    tab[:, :, :k] = child
+    tab[:, :, k:] = rest
+    child_ids[:k], child_ids[k:] = ids[sel], ids | 1 << i
+    child_g[:k], child_g[k:] = g[sel] + grow[sel] / mag[sel], g
+    return tab, child_ids, child_g, bad
 
 
 def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
     """(ids, points, 0) of all leaves that pass _Z_MARGIN as one batch, then the full path's batches of unstable ones.
 
-    A batch runs each level whole until the next would pass _LEVEL_BYTES, then
-    halves; a copy of one half, not a view that pins the batch, waits on a
-    stack.  Level i writes into buffer i % 2, free of its parents; buffer 2 is
-    _split's scratch.
+    A batch runs each level below n - 1 whole until the next would pass
+    _LEVEL_BYTES, then halves; a copy of one half, not a view that pins the
+    batch, waits on a stack.  Level i writes into buffers i % 2, free of its
+    parents; the flat buffer scratch is _split's, and the last level's.  The
+    last level, n - 1, runs on each batch's parents, whose two columns are
+    column n - 1 and q: it writes only the pivot children, and tests the
+    children that keep z_{n-1} = 0 in their parents' q column.
     """
     n = inst.n
-    # Only a one-node batch, whose children take 2 n^2 floats at most, passes _LEVEL_BYTES.
-    size = min(max(_LEVEL_BYTES // 8, 2 * n * n), max((n - i) * n << (i + 1) for i in range(n)))
-    bufs = [np.empty(size) for _ in range(3)]
+    # Level n - 2 writes the most, n << n floats; only a one-node batch, whose
+    # children take 2 n^2 floats at most, passes _LEVEL_BYTES.  _split's
+    # children have at least two columns of n floats, so at most size // 2n.
+    size = min(max(_LEVEL_BYTES // 8, 2 * n * n), n << n)
+    bufs = [(np.empty(size), np.empty(size // (2 * n), dtype=np.int64), np.empty(size // (2 * n))) for _ in range(2)]
+    scratch = np.empty(size)
     unstable = [np.zeros(0, dtype=np.int64)]
     found = []  # (ids, points) of each batch's leaves that pass _Z_MARGIN
+    d_max = np.abs(d).max()
     root = np.vstack([m.T, q])[:, :, None]
     stack = [(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0)]
     while stack:
         t, ids, g, start = stack.pop()
-        for i in range(start, n):
+        for i in range(start, n - 1):
             while len(ids) > 1 and 2 * t[1:].nbytes > _LEVEL_BYTES:
                 h = len(ids) // 2
-                stack.append((t[:, :, h:].copy(), ids[h:], g[h:], i))
+                stack.append((t[:, :, h:].copy(), ids[h:].copy(), g[h:].copy(), i))
                 t, ids, g = t[:, :, :h], ids[:h], g[:h]
-            t, ids, g, bad = _split(t, ids, g, i, g_max, bufs[i % 2], bufs[2])
+            t, ids, g, bad = _split(t, ids, g, i, g_max, bufs[i % 2], scratch)
             if len(bad):
                 # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
-        # The last column holds w_i where bit i is set and z_i elsewhere.
-        last = t[0]
-        low = last.min(axis=0)
-        margin = _Z_MARGIN * (1.0 + np.maximum(last.max(axis=0), -low) + np.abs(d).max())
-        keep = low >= -(ORACLE_TOL.feas_tol + margin)
-        z = np.where((ids[keep, None] >> np.arange(n)) & 1, 0.0, last[:, keep].T)
-        found.append((ids[keep], (z + d) @ p.T))
+        # Level n - 1, as in _split with one column left besides q.
+        col, last = t[0], t[1]
+        piv = col[n - 1]
+        grow = np.abs(col, out=scratch[: col.size].reshape(col.shape)).max(axis=0, initial=1.0)
+        grow *= np.maximum(np.abs(last[n - 1]), 1.0)
+        ok = grow <= (g_max - g) * np.abs(piv)
+        sel = slice(None) if ok.all() else ok
+        unstable.append(ids[~ok])  # each of these nodes' subtrees is one leaf
+        rp = last[n - 1, sel] / piv[sel]
+        child = bufs[(n - 1) % 2][0][: n * len(rp)].reshape(n, len(rp))
+        np.multiply(col[:, sel], rp, out=child)
+        np.subtract(last[:, sel], child, out=child)
+        np.negative(rp, out=child[n - 1])
+        # A leaf's last column holds w_i where bit i is set and z_i elsewhere.
+        kept = []
+        for leaves, leaf_ids in ((child, ids[sel]), (last, ids | 1 << (n - 1))):
+            low = leaves.min(axis=0)
+            margin = _Z_MARGIN * (1.0 + np.maximum(leaves.max(axis=0), -low) + d_max)
+            keep = low >= -(ORACLE_TOL.feas_tol + margin)
+            kept += [leaf_ids[keep], leaves[:, keep]]
+        leaf_ids, leaves = np.concatenate(kept[::2]), np.concatenate(kept[1::2], axis=1)
+        z = np.where((leaf_ids[:, None] >> np.arange(n)) & 1, 0.0, leaves.T)
+        found.append((leaf_ids, (z + d) @ p.T))
     yield *map(np.concatenate, zip(*found)), 0
     yield from _full_batches(inst, ic, d, np.concatenate(unstable))
 

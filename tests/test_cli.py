@@ -53,6 +53,20 @@ def test_gen_rejects_invalid_spec(tmp_path):
     assert main(gen_args(tmp_path / "x.json", n=0)) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "--out", "x.json"], ["verify", "--gen", "1", "--out-path", "rows.csv"]])
+def test_generator_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # numpy raises MemoryError (as _ArrayMemoryError) when an n x n matrix
+    # does not fit, as at --n 100000; the stub raises it without allocating.
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("icpkit.cli.generate_planted", out_of_memory)
+    assert main(argv + ["--n", "100000"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [["gen", "--n", "3", "--out"], ["verify", "--gen", "1", "--out-path"]])
 def test_negative_seed_is_named(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -384,8 +384,9 @@ def assert_tree_matches_full_path(inst):
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
-# At n = 13 the tree halves its batch before level 8 (see _LEVEL_BYTES).
-@pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 9, 10, 11) for seed in range(3)] + [(13, 0)])
+# At n = 1 the root batch is the last level.  At n = 13 the tree halves its
+# batch before level 8 (see _LEVEL_BYTES).
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 0), (3, 0)] + [(n, seed) for n in (8, 9, 10, 11) for seed in range(3)] + [(13, 0)])
 @pytest.mark.parametrize("f_family", F_FAMILIES)
 @pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
 def test_tree_matches_full_path_on_generated_families(matrix_family, f_family, n, seed):
@@ -528,30 +529,58 @@ def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     assert_tree_matches_full_path(inst)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_last_column_sends_every_last_level_pivot_to_the_full_path():
+    # f = 0 makes M = A, and column n - 1 of A is 0, so it stays 0 under every
+    # pivot: each last-level node's pivot on (n - 1, n - 1) is 0 and fails,
+    # which sends exactly the sets with bit n - 1 clear.  Their subsystems all
+    # have a zero column, so the full path skips each of them as singular.
+    n = 8
+    rng = np.random.default_rng(11)
+    a = diag_dominant(rng, n)
+    a[:, n - 1] = 0.0
+    inst, x = planted_lcp(a, rng)
+    assert takes_tree(inst)
+    result, sent = enumerate_with_fallback_ids(inst)
+    assert np.array_equal(sent, np.arange(1 << (n - 1)))
+    assert len(result.solutions) == 1
+    assert np.max(np.abs(result.solutions[0] - x)) <= DEDUP_RADIUS
+    assert result.singular_skipped == 1 << (n - 1)
+    assert_tree_matches_full_path(inst)
+
+
 def test_split_writes_children_into_the_given_buffer_only():
-    # Level 1 reads its parents from buffer a, which level 0 wrote, and must
-    # write its children into buffer b alone, leaving a untouched.
+    # Level 1 reads its parents from buffers a, which level 0 wrote, and must
+    # write its children into buffers b alone, leaving a untouched.
     n = 6
     rng = np.random.default_rng(4)
     inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=ZeroMap())
     m, q, g_max = oracle._reduction(inst, np.eye(n), np.zeros(n))[1:]
     root = np.vstack([m.T, q])[:, :, None]
-    a, b, scratch = (np.full(4 * n * n, np.nan) for _ in range(3))
+    a, b = ((np.full(4 * n * n, np.nan), np.full(4, -1, dtype=np.int64), np.full(4, np.nan)) for _ in range(2))
+    scratch = np.full(4 * n * n, np.nan)
     t, ids, g, bad = oracle._split(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0, g_max, a, scratch)
-    assert np.shares_memory(t, a) and not np.shares_memory(t, b) and not len(bad)
-    parents = a.copy()
-    child, child_ids, _, bad = oracle._split(t, ids, g, 1, g_max, b, scratch)
-    assert np.shares_memory(child, b) and not np.shares_memory(child, a) and not len(bad)
-    assert np.array_equal(a, parents, equal_nan=True)
+    for level, buffer in zip((t, ids, g), a):
+        assert np.shares_memory(level, buffer) and not any(np.shares_memory(level, other) for other in b)
+    assert not len(bad)
+    parents = [buffer.copy() for buffer in a]
+    child, child_ids, child_g, bad = oracle._split(t, ids, g, 1, g_max, b, scratch)
+    for level, buffer in zip((child, child_ids, child_g), b):
+        assert np.shares_memory(level, buffer) and not any(np.shares_memory(level, other) for other in a)
+    assert not len(bad)
+    assert all(np.array_equal(buffer, kept, equal_nan=True) for buffer, kept in zip(a, parents))
     assert child.shape == (n - 1, n, 4) and child_ids.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(child_g[2:], g) and np.all(child_g[:2] > g)
 
 
 @pytest.mark.parametrize("case", ["generated", "A00_zero"])
 def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
     # At n = 13 the tree splits its nodes into several batches (see
-    # _LEVEL_BYTES), yet all its surviving leaves reach check_solution in one
-    # call.  With A_00 = 0 the 4096 sets with bit 0 clear fall back, and each
-    # 512-set chunk of the full path takes one more call.
+    # _LEVEL_BYTES): level 11, the last that _split runs, runs more than once,
+    # and so does level 12 on each of its batches.  Yet all the surviving
+    # leaves reach check_solution in one call.  With A_00 = 0 the 4096 sets
+    # with bit 0 clear fall back, and each 512-set chunk of the full path
+    # takes one more call.
     rng = np.random.default_rng(11)
     if case == "generated":
         spec = GeneratorSpec(n=13, seed=0, matrix_family="diag_dominant", f_family="contractive_affine", gamma=0.5)
@@ -566,7 +595,7 @@ def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
     calls, check = [], oracle.check_solution
     monkeypatch.setattr(oracle, "check_solution", lambda *args: calls.append(args[1]) or check(*args))
     sent = enumerate_with_fallback_ids(inst)[1]
-    assert levels.count(12) > 1
+    assert levels.count(11) > 1 and 12 not in levels
     assert len(sent) == (0 if case == "generated" else 4096)
     assert len(calls) == 1 + len(sent) // oracle._CHUNK
 
