@@ -6,7 +6,8 @@ Instance files are strict JSON (non-finite number tokens rejected) with keys
 and a free-form ``spec`` echo.  Floats are serialized as Python's shortest
 round-trip decimals, so save/load reproduces residual evaluations bit for bit.
 
-Subcommands and exit codes:
+``main(argv)`` may be called repeatedly in one process; it builds its parser on
+the first call.  Subcommands and exit codes:
 
 * ``gen``     write a seeded planted instance          (0 ok, 2 bad spec or out of memory)
 * ``solve``   run the projection solver on a file      (0 converged, 1 not, 2 parse)
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -577,6 +579,7 @@ def _int_at_least(low: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icpkit",
@@ -617,9 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; may be called repeatedly, the parser is built on the first call."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -12,6 +12,7 @@ from icpkit.cli import (
     LoadedInstance,
     _collect_points,
     _draw_scalings,
+    build_parser,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -325,6 +326,50 @@ def test_verify_beyond_oracle_cap_fails_but_writes_rows(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 24  # planted and three perturbations, six formulations each
     assert {row["point_source"] for row in rows} == {"planted", "perturbed"}
+
+
+def rows_without_wall_ms(path):
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_calls_sharing_the_parser_stay_independent(tmp_path):
+    # The parser outlives each call, so a flag given to one call must not
+    # reach the next; a fresh process builds its own parser.
+    p = tmp_path / "inst.json"
+    assert main(gen_args(p, seed=21)) == 0
+    with_solver, plain, fresh = (tmp_path / name for name in ("solver.csv", "plain.csv", "fresh.csv"))
+    assert main(["verify", str(p), "--solver", "--out-path", str(with_solver)]) == 0
+    assert main(["verify", str(p), "--out-path", str(plain)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "icpkit", "verify", str(p), "--out-path", str(fresh)])
+    assert proc.returncode == 0
+    assert "solver" in {row["point_source"] for row in rows_without_wall_ms(with_solver)}
+    rows = rows_without_wall_ms(plain)
+    assert rows and "solver" not in {row["point_source"] for row in rows}
+    assert rows == rows_without_wall_ms(fresh)
+
+
+def test_parse_error_between_calls_changes_nothing(tmp_path, capsys):
+    p = tmp_path / "inst.json"
+    assert main(gen_args(p, seed=22)) == 0
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert main(["verify", str(p), "--out-path", str(before)]) == 0
+    assert main(["verify", "--scalings", "0"]) == 2
+    assert "--scalings" in capsys.readouterr().err
+    assert main(["verify", str(p), "--out-path", str(after)]) == 0
+    assert rows_without_wall_ms(after) == rows_without_wall_ms(before)
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    assert main(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("usage: icpkit")
 
 
 def test_solve_command(tmp_path, capsys):
