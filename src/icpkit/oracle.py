@@ -13,12 +13,13 @@ principal pivots.  With P = (I - C)^-1, z = H(r) turns the ICP into
 LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
-Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)", one
-rank-one update over a batch of column-major (columns, n, nodes) tableaux,
-halved before any level that would outgrow _LEVEL_BYTES; levels alternate
-between two sets of buffers allocated once.  The last level writes only the
-pivot children, into a level buffer, and reads the other leaves' last column
-in place from their parents' q column.  A leaf whose last column has a clearly
+Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)".
+One pivot step, _pivot, serves every level: a growth test and a rank-one
+update over a batch of column-major (columns, n, nodes) tableaux, halved
+before any level that would outgrow _LEVEL_BYTES; levels alternate between
+two sets of buffers allocated once.  The last level keeps only the pivot
+children, in a level buffer, and reads the other leaves' last column in
+place from their parents' q column.  A leaf whose last column has a clearly
 negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
 others, which reach check_solution as one batch.  A pivot that grows the
 tableau past what the tolerances allow sends its subtree to the full n x n
@@ -76,10 +77,10 @@ _ROUNDING_SHARE = 0.1
 # the margin is a hundred times that bound times 1 + |last column| + |d|, per
 # leaf (inf-norms), which is at least 1 + |z| + |d|.
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
-# A tree batch halves before a level below n - 1 whose tableaux would pass this
-# many bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
+# A tree batch halves before a level whose tableaux would pass this many
+# bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
 # peaked higher), and it sizes the tree's two level buffers and its scratch;
-# the last level writes no more than its parents hold.
+# the last level's parents fill at most one level buffer, so it never halves.
 _LEVEL_BYTES = 1 << 18
 
 
@@ -190,15 +191,16 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
         yield chunk[~singular], points[~singular], int(singular.sum())
 
 
-def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: tuple, scratch: np.ndarray):
-    """Level i < n - 1 of the tree: children that pivot on (i, i), then those that keep z_i = 0 (bit i set).
+def _pivot(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: np.ndarray, scratch: np.ndarray):
+    """Level i of the tree: (tableaux, ids, bounds) of the children that pivot on (i, i), and the nodes that fail to.
 
     t[c, :, k] is column c of node k's tableau (columns i..n-1 of its M, then
-    q), and g[k] bounds its entries.  Both children drop column i, t[0], whose
-    variable is 0 at the leaves.  The children's tableaux, ids and bounds fill
-    the fronts of out's three flat buffers, which must not hold t, ids or g;
-    the flat buffer scratch takes the growth bound's |entries|, then the pivot
-    children.  Also returns the nodes whose pivot failed.
+    q), ids[k] its index set and g[k] a bound on its entries.  Both children
+    of a node drop column i, t[0], whose variable is 0 at the leaves; the one
+    that keeps z_i = 0 (bit i set) is t[1:] unchanged.  The pivot children of
+    the nodes that pass the growth test fill the front of the flat buffer out
+    as one block.  The flat buffer scratch takes the test's |entries| and may
+    be out; neither may hold t, ids or g.
     """
     col, rest = t[0], t[1:]
     row, piv = rest[:, i], col[i]
@@ -209,38 +211,30 @@ def _split(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, 
     sel, bad = (slice(None), ids[:0]) if ok.all() else (ok, ids[~ok])
     piv = piv[sel]
     rp = row[:, sel] / piv
-    k = len(piv)
-    tab = out[0][: rest[:, :, 0].size * (k + len(ids))].reshape(rest.shape[:2] + (-1,))
-    child_ids, child_g = (a[: k + len(ids)] for a in out[1:])
-    # Build the pivot children in scratch, where the update runs over
-    # contiguous blocks, then copy them to the front of each row of tab: at
-    # n = 16 numpy runs the update about twice as fast that way.
-    child = scratch[: rest[:, :, 0].size * k].reshape(rest.shape[:2] + (k,))
+    child = out[: rest[:, :, 0].size * len(piv)].reshape(rest.shape[:2] + (len(piv),))
     np.multiply(col[:, sel], rp[:, None], out=child)
     np.subtract(rest[:, :, sel], child, out=child)
     np.negative(rp, out=child[:, i])
-    tab[:, :, :k] = child
-    tab[:, :, k:] = rest
-    child_ids[:k], child_ids[k:] = ids[sel], ids | 1 << i
-    child_g[:k], child_g[k:] = g[sel] + grow[sel] / mag[sel], g
-    return tab, child_ids, child_g, bad
+    return child, ids[sel], g[sel] + grow[sel] / mag[sel], bad
 
 
 def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_max):
     """(ids, points, 0) of all leaves that pass _Z_MARGIN as one batch, then the full path's batches of unstable ones.
 
-    A batch runs each level below n - 1 whole until the next would pass
-    _LEVEL_BYTES, then halves; a copy of one half, not a view that pins the
-    batch, waits on a stack.  Level i writes into buffers i % 2, free of its
-    parents; the flat buffer scratch is _split's, and the last level's.  The
-    last level, n - 1, runs on each batch's parents, whose two columns are
-    column n - 1 and q: it writes only the pivot children, and tests the
+    A batch runs each level whole until the next would pass _LEVEL_BYTES,
+    then halves; a copy of one half, not a view that pins the batch, waits on
+    a stack.  Level i < n - 1 builds its pivot children in the flat buffer
+    scratch, over contiguous blocks (at n = 16 numpy runs the update about
+    twice as fast that way), then writes them, followed by the children that
+    keep z_i = 0, into buffers i % 2, free of its parents.  The last level
+    runs on each batch's parents, whose two columns are column n - 1 and q:
+    it writes its pivot children straight into a level buffer, and tests the
     children that keep z_{n-1} = 0 in their parents' q column.
     """
     n = inst.n
     # Level n - 2 writes the most, n << n floats; only a one-node batch, whose
-    # children take 2 n^2 floats at most, passes _LEVEL_BYTES.  _split's
-    # children have at least two columns of n floats, so at most size // 2n.
+    # children take 2 n^2 floats at most, passes _LEVEL_BYTES.  Levels below
+    # n - 1 write at least 2n floats per child, so at most size // 2n ids.
     size = min(max(_LEVEL_BYTES // 8, 2 * n * n), n << n)
     bufs = [(np.empty(size), np.empty(size // (2 * n), dtype=np.int64), np.empty(size // (2 * n))) for _ in range(2)]
     scratch = np.empty(size)
@@ -251,31 +245,26 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
     stack = [(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0)]
     while stack:
         t, ids, g, start = stack.pop()
-        for i in range(start, n - 1):
+        for i in range(start, n):
             while len(ids) > 1 and 2 * t[1:].nbytes > _LEVEL_BYTES:
                 h = len(ids) // 2
                 stack.append((t[:, :, h:].copy(), ids[h:].copy(), g[h:].copy(), i))
                 t, ids, g = t[:, :, :h], ids[:h], g[:h]
-            t, ids, g, bad = _split(t, ids, g, i, g_max, bufs[i % 2], scratch)
+            tab, child_ids, child_g = bufs[i % 2]
+            child, pivot_ids, pivot_g, bad = _pivot(t, ids, g, i, g_max, tab if i == n - 1 else scratch, scratch)
             if len(bad):
                 # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
-        # Level n - 1, as in _split with one column left besides q.
-        col, last = t[0], t[1]
-        piv = col[n - 1]
-        grow = np.abs(col, out=scratch[: col.size].reshape(col.shape)).max(axis=0, initial=1.0)
-        grow *= np.maximum(np.abs(last[n - 1]), 1.0)
-        ok = grow <= (g_max - g) * np.abs(piv)
-        sel = slice(None) if ok.all() else ok
-        unstable.append(ids[~ok])  # each of these nodes' subtrees is one leaf
-        rp = last[n - 1, sel] / piv[sel]
-        child = bufs[(n - 1) % 2][0][: n * len(rp)].reshape(n, len(rp))
-        np.multiply(col[:, sel], rp, out=child)
-        np.subtract(last[:, sel], child, out=child)
-        np.negative(rp, out=child[n - 1])
+            if i < n - 1:
+                k, width = len(pivot_g), len(pivot_g) + len(ids)
+                tab = tab[: (len(t) - 1) * n * width].reshape(len(t) - 1, n, width)
+                tab[:, :, :k], tab[:, :, k:] = child, t[1:]
+                child_ids[:k], child_ids[k:width] = pivot_ids, ids | 1 << i
+                child_g[:k], child_g[k:width] = pivot_g, g
+                t, ids, g = tab, child_ids[:width], child_g[:width]
         # A leaf's last column holds w_i where bit i is set and z_i elsewhere.
         kept = []
-        for leaves, leaf_ids in ((child, ids[sel]), (last, ids | 1 << (n - 1))):
+        for leaves, leaf_ids in ((child[0], pivot_ids), (t[1], ids | 1 << (n - 1))):
             low = leaves.min(axis=0)
             margin = _Z_MARGIN * (1.0 + np.maximum(leaves.max(axis=0), -low) + d_max)
             keep = low >= -(ORACLE_TOL.feas_tol + margin)

@@ -75,11 +75,15 @@ class SolveReport:
 
 
 def default_scaling(a: np.ndarray) -> DiagonalScaling:
-    """diag(1/A_ii) when the diagonal is strictly positive, else the identity."""
+    """diag(1/A_ii) when every 1/A_ii is finite and positive, else the identity.
+
+    A positive A_ii below about 5.6e-309 has no finite 1/A_ii.
+    """
     a = np.asarray(a, dtype=float)
-    d = np.diagonal(a)
-    if np.all(d > 0.0):
-        return DiagonalScaling(1.0 / d)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.diagonal(a)
+    if np.all(np.isfinite(inv) & (inv > 0.0)):
+        return DiagonalScaling(inv)
     return DiagonalScaling.identity(a.shape[0])
 
 

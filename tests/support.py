@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from icpkit.core import AffineMap, IcpInstance, ZeroMap, evaluate_F, evaluate_H
@@ -103,3 +105,47 @@ def reference_solve_linear_batch(mats, rhs) -> tuple[np.ndarray, np.ndarray]:
         pivot = np.where(np.abs(pivot) <= thresh, 1.0, pivot)
         x[:, k] = (b[:, k] - tail) / pivot
     return x, singular
+
+
+def solve_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
+    """Solution of the augmented rows [M | v] by Gaussian elimination, or None when M is singular."""
+    n = len(rows)
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for r in range(k + 1, n):
+            factor = rows[r][k] / rows[k][k]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def exact_enumeration(inst: IcpInstance) -> tuple[list[list[Fraction]], int]:
+    """(distinct solutions in index-set order, exactly singular subsystems) of an affine instance.
+
+    The stdlib reference for oracle.enumerate_solutions, in exact rational
+    arithmetic on the floats' exact values: index set s takes row i from
+    I - C with right side d_i when bit i of s is set, else from A with -b_i.
+    A subsystem's solution solves the instance when H and F are both
+    nonnegative, since one of H_i and F_i is 0 by construction.
+    """
+    n = inst.n
+    c, d = inst.f.affine_parts(n)
+    ic = [[(i == j) - Fraction(c[i, j]) for j in range(n)] for i in range(n)]
+    a = [[Fraction(x) for x in row] for row in inst.A]
+    d, b = [Fraction(x) for x in d], [Fraction(x) for x in inst.b]
+    solutions, singular = [], 0
+    for s in range(1 << n):
+        x = solve_exact([ic[i] + [d[i]] if s >> i & 1 else a[i] + [-b[i]] for i in range(n)])
+        if x is None:
+            singular += 1
+            continue
+        h = [sum(ic[i][j] * x[j] for j in range(n)) - d[i] for i in range(n)]
+        f = [sum(a[i][j] * x[j] for j in range(n)) + b[i] for i in range(n)]
+        if min(h + f) >= 0 and x not in solutions:
+            solutions.append(x)
+    return solutions, singular

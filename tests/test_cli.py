@@ -416,6 +416,32 @@ def test_solve_overrelaxed_dense_instance_exits_one(tmp_path, capsys):
     assert report["status"] in ("diverged", "max_iters_reached")
 
 
+# 1 / A_00 overflows to inf, so the default jacobi scaling is the identity.
+TINY_DIAGONAL = '{"n": 1, "A": [1e-320], "b": [-1], "f": {"type": "zero"}}'
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_with_a_tiny_positive_diagonal_reports_a_status(tmp_path, capsys):
+    # With the identity, each step adds about 1 to r, which never settles.
+    p = tmp_path / "tiny.json"
+    p.write_text(TINY_DIAGONAL)
+    rc = main(["solve", str(p), "--max-iters", "50"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert report["status"] == "max_iters_reached"
+    assert report["final_point"] == [50.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_solver_with_a_tiny_positive_diagonal_writes_its_rows(tmp_path):
+    # The one solution, r = 1e320, is not a float: only the solver's rows remain.
+    p, out = tmp_path / "tiny.json", tmp_path / "rows.json"
+    p.write_text(TINY_DIAGONAL)
+    assert main(["verify", str(p), "--solver", "--out", "json", "--out-path", str(out)]) in (0, 1)
+    rows = json.loads(out.read_text())
+    assert [row["point_source"] for row in rows] == ["solver"] * 6
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_solve_rejects_non_finite_tolerance(tol, tmp_path, capsys):
     # With --tol inf the stop test passed at iteration 0 on a non-solution.

@@ -13,7 +13,7 @@ from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generat
 from icpkit.linalg import DiagonalScaling
 from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _merge, certify, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
-from support import diag_dominant
+from support import diag_dominant, exact_enumeration
 
 
 def test_unique_solution_of_two_dimensional_lcp():
@@ -384,6 +384,27 @@ def assert_tree_matches_full_path(inst):
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_matches_exact_enumeration_on_small_integer_instances(n):
+    # A and b in {-1, 0, 1} make many subsystems exactly singular; half the
+    # instances are affine, with C in {-1, 0, 1} / 4 and d in {-2, ..., 2}.
+    # Exact arithmetic decides singularity and the solution test, so the
+    # float oracle must find the same isolated solutions, in the same order,
+    # and skip the same subsystems.
+    rng = np.random.default_rng([n, 2024])
+    for k in range(60):
+        a = rng.integers(-1, 2, (n, n)).astype(float)
+        b = rng.integers(-1, 2, n).astype(float)
+        f = AffineMap(rng.integers(-1, 2, (n, n)) / 4, rng.integers(-2, 3, n).astype(float)) if k % 2 else ZeroMap()
+        inst = IcpInstance(A=a, b=b, f=f)
+        result = enumerate_solutions(inst)
+        exact, singular = exact_enumeration(inst)
+        assert result.singular_skipped == singular, (k, inst)
+        assert len(result.solutions) == len(exact), (k, inst)
+        for x, y in zip(result.solutions, exact):
+            assert np.max(np.abs(x - np.array(y, dtype=float))) <= DEDUP_RADIUS, (k, inst)
+
+
 # At n = 1 the root batch is the last level.  At n = 13 the tree halves its
 # batch before level 8 (see _LEVEL_BYTES).
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 0), (3, 0)] + [(n, seed) for n in (8, 9, 10, 11) for seed in range(3)] + [(13, 0)])
@@ -510,13 +531,13 @@ def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     a[:, 10] = 0.0
     inst, x = planted_lcp(a, rng)
     assert takes_tree(inst)
-    calls, split = [], oracle._split
+    calls, pivot = [], oracle._pivot
 
-    def recording_split(t, ids, g, i, *rest):
+    def recording_pivot(t, ids, g, i, *rest):
         calls.append((i, len(ids)))
-        return split(t, ids, g, i, *rest)
+        return pivot(t, ids, g, i, *rest)
 
-    monkeypatch.setattr(oracle, "_split", recording_split)
+    monkeypatch.setattr(oracle, "_pivot", recording_pivot)
     result, sent = enumerate_with_fallback_ids(inst)
     assert calls[0] == (0, 1)
     assert sum(i == 10 for i, _ in calls) > 1
@@ -549,38 +570,88 @@ def test_zero_last_column_sends_every_last_level_pivot_to_the_full_path():
     assert_tree_matches_full_path(inst)
 
 
-def test_split_writes_children_into_the_given_buffer_only():
-    # Level 1 reads its parents from buffers a, which level 0 wrote, and must
-    # write its children into buffers b alone, leaving a untouched.
+@pytest.mark.filterwarnings("error")
+def test_mixed_pivot_failures_at_the_last_level_fall_back():
+    # f = 0 makes M = A.  The root pivot A_00 = 1 passes; at the last level
+    # the child that keeps z_0 = 0 pivots on A_11 = 0, which fails and sends
+    # set 1 to the full path, where it is singular, while the pivot child's
+    # Schur complement, -1, passes.
+    inst = IcpInstance(A=[[1.0, 1.0], [1.0, 0.0]], b=[-1.0, -0.5], f=ZeroMap())
+    assert takes_tree(inst)
+    result, sent = enumerate_with_fallback_ids(inst)
+    assert sent.tolist() == [1]
+    assert result.singular_skipped == 1
+    assert [s.tolist() for s in result.solutions] == [[0.5, 0.5], [1.0, 0.0]]
+    assert_tree_matches_full_path(inst)
+
+
+def test_pivot_writes_only_into_out_and_scratch():
+    # The pivot children fill the front of out, whether out is its own
+    # buffer or scratch; t, ids and g are left as they were.
     n = 6
     rng = np.random.default_rng(4)
     inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=ZeroMap())
     m, q, g_max = oracle._reduction(inst, np.eye(n), np.zeros(n))[1:]
-    root = np.vstack([m.T, q])[:, :, None]
-    a, b = ((np.full(4 * n * n, np.nan), np.full(4, -1, dtype=np.int64), np.full(4, np.nan)) for _ in range(2))
-    scratch = np.full(4 * n * n, np.nan)
-    t, ids, g, bad = oracle._split(root, np.zeros(1, dtype=np.int64), np.abs(root).max(axis=(0, 1)), 0, g_max, a, scratch)
-    for level, buffer in zip((t, ids, g), a):
-        assert np.shares_memory(level, buffer) and not any(np.shares_memory(level, other) for other in b)
-    assert not len(bad)
-    parents = [buffer.copy() for buffer in a]
-    child, child_ids, child_g, bad = oracle._split(t, ids, g, 1, g_max, b, scratch)
-    for level, buffer in zip((child, child_ids, child_g), b):
-        assert np.shares_memory(level, buffer) and not any(np.shares_memory(level, other) for other in a)
-    assert not len(bad)
-    assert all(np.array_equal(buffer, kept, equal_nan=True) for buffer, kept in zip(a, parents))
-    assert child.shape == (n - 1, n, 4) and child_ids.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(child_g[2:], g) and np.all(child_g[:2] > g)
+    t = np.vstack([m.T, q])[:, :, None].repeat(3, axis=2)
+    t[:, 0, 1] = 0.0  # node 1's pivot is 0 and fails
+    ids, g = np.array([4, 6, 2]), np.abs(t).max(axis=(0, 1))
+    parents = [t.copy(), ids.copy(), g.copy()]
+    results = []
+    for out, scratch in ((np.full(4 * n * n, np.nan), np.full(4 * n * n, np.nan)), (np.full(4 * n * n, np.nan),) * 2):
+        child, child_ids, child_g, bad = oracle._pivot(t, ids, g, 0, g_max, out, scratch)
+        assert all(np.array_equal(a, b) for a, b in zip((t, ids, g), parents))
+        assert child.shape == (n, n, 2) and np.shares_memory(child, out[: 2 * n * n])
+        assert not np.shares_memory(child, out[2 * n * n :]) and not np.shares_memory(child, t)
+        if out is not scratch:
+            assert np.isnan(out[2 * n * n :]).all()
+        assert child_ids.tolist() == [4, 2] and bad.tolist() == [6]
+        assert np.all(child_g > g[[0, 2]])
+        results.append(child.copy())
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0][:, 0, 0], -t[1:, 0, 0] / t[0, 0, 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_levels_write_pivot_children_then_kept_children_into_fresh_buffers(monkeypatch):
+    # f = 0 makes M = A.  The root pivot passes; at level 1, node 0's pivot,
+    # A_11 - A_10 A_01 / A_00 = -0.5, passes and node 1's, A_11 = 0, fails,
+    # which sends the sets 1 + 4 j.  Column 3 of A is 0, so every pivot of
+    # the last level fails and sends the last level's parents, in batch order.
+    a = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+    inst = IcpInstance(A=a, b=np.array([-1.0, -1.0, -1.0, 1.0]), f=ZeroMap())
+    assert takes_tree(inst)
+    calls, pivot = [], oracle._pivot
+
+    def recording_pivot(t, ids, g, i, g_max, out, scratch):
+        children = pivot(t, ids, g, i, g_max, out, scratch)
+        copies = [t.copy(), ids.copy(), g.copy()]
+        calls.append(dict(i=i, level=(t, ids, g), copies=copies, out=out, scratch=scratch, pivot_ids=children[1].copy()))
+        return children
+
+    sent, full_batches = [], oracle._full_batches
+    monkeypatch.setattr(oracle, "_pivot", recording_pivot)
+    monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1].tolist()) or full_batches(*args))
+    enumerate_solutions(inst)
+    assert [call["copies"][1].tolist() for call in calls] == [[0], [0, 1], [0, 2, 3], [0, 2, 3, 4, 6, 7]]
+    assert sent == [[1, 5, 9, 13, 0, 2, 3, 4, 6, 7]]
+    for parent, child in zip(calls, calls[1:]):
+        # A level's pivot step builds in scratch, and the children land in
+        # buffers that hold neither their parents nor scratch.
+        assert parent["out"] is parent["scratch"]
+        assert not any(np.shares_memory(a, b) for a in child["level"] for b in (*parent["level"], parent["scratch"]))
+        (t, ids, g), (child_t, child_ids, child_g) = parent["copies"], child["copies"]
+        assert child_ids.tolist() == parent["pivot_ids"].tolist() + (ids | 1 << parent["i"]).tolist()
+        assert np.array_equal(child_t[:, :, -len(ids) :], t[1:]) and np.array_equal(child_g[-len(ids) :], g)
+    assert calls[-1]["out"] is not calls[-1]["scratch"]
 
 
 @pytest.mark.parametrize("case", ["generated", "A00_zero"])
 def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
     # At n = 13 the tree splits its nodes into several batches (see
-    # _LEVEL_BYTES): level 11, the last that _split runs, runs more than once,
-    # and so does level 12 on each of its batches.  Yet all the surviving
-    # leaves reach check_solution in one call.  With A_00 = 0 the 4096 sets
-    # with bit 0 clear fall back, and each 512-set chunk of the full path
-    # takes one more call.
+    # _LEVEL_BYTES), so levels 11 and 12, the last, each run more than once.
+    # Yet all the surviving leaves reach check_solution in one call.  With
+    # A_00 = 0 the 4096 sets with bit 0 clear fall back, and each 512-set
+    # chunk of the full path takes one more call.
     rng = np.random.default_rng(11)
     if case == "generated":
         spec = GeneratorSpec(n=13, seed=0, matrix_family="diag_dominant", f_family="contractive_affine", gamma=0.5)
@@ -590,12 +661,12 @@ def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
         a[0, 0] = 0.0
         inst = planted_lcp(a, rng)[0]
     assert takes_tree(inst)
-    levels, split = [], oracle._split
-    monkeypatch.setattr(oracle, "_split", lambda t, ids, g, i, *rest: levels.append(i) or split(t, ids, g, i, *rest))
+    levels, pivot = [], oracle._pivot
+    monkeypatch.setattr(oracle, "_pivot", lambda t, ids, g, i, *rest: levels.append(i) or pivot(t, ids, g, i, *rest))
     calls, check = [], oracle.check_solution
     monkeypatch.setattr(oracle, "check_solution", lambda *args: calls.append(args[1]) or check(*args))
     sent = enumerate_with_fallback_ids(inst)[1]
-    assert levels.count(11) > 1 and 12 not in levels
+    assert levels.count(11) > 1 and levels.count(12) > 1
     assert len(sent) == (0 if case == "generated" else 4096)
     assert len(calls) == 1 + len(sent) // oracle._CHUNK
 

@@ -114,11 +114,16 @@ def test_planted_solutions_are_update_fixed_points():
         assert np.max(np.abs(updated - planted)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_default_scaling_follows_diagonal():
     a = np.array([[2.0, 0.0], [0.0, 4.0]])
     assert np.array_equal(default_scaling(a).diag, [0.5, 0.25])
-    mixed = np.array([[-1.0, 0.0], [0.0, 4.0]])
-    assert np.array_equal(default_scaling(mixed).diag, [1.0, 1.0])
+    assert np.array_equal(default_scaling(np.diag([1e-308, 4.0])).diag, [1e308, 0.25])
+    # 1 / 1e-320 overflows to inf, 1 / 0 is inf, 1 / -0 is -inf, 1 / inf is
+    # 0 and 1 / nan is nan: none is a positive scaling, so the identity
+    # stands in, without a warning.
+    for first in (-1.0, 1e-320, 0.0, -0.0, np.inf, np.nan):
+        assert np.array_equal(default_scaling(np.diag([first, 4.0])).diag, [1.0, 1.0])
 
 
 def test_solver_config_validation():
