@@ -9,10 +9,14 @@ round-trip decimals, so save/load reproduces residual evaluations bit for bit.
 ``main(argv)`` may be called repeatedly in one process; it builds its parser on
 the first call.  Subcommands and exit codes:
 
-* ``gen``     write a seeded planted instance          (0 ok, 2 bad spec or out of memory)
-* ``solve``   run the projection solver on a file      (0 converged, 1 not, 2 parse)
-* ``oracle``  enumerate all solutions of a file        (0 found, 3 empty, 2 parse/cap)
-* ``verify``  residual-equivalence campaign over files (0 pass, 1 failures, 2 parse or out of memory)
+* ``gen``     write a seeded planted instance          (0 ok)
+* ``solve``   run the projection solver on a file      (0 converged, 1 not)
+* ``oracle``  enumerate all solutions of a file        (0 found, 3 empty)
+* ``verify``  residual-equivalence campaign over files (0 pass, 1 failures)
+
+Every subcommand exits 2 with one ``error:`` line on bad input (a malformed
+file or spec, a bad flag value, n beyond the oracle's cap), on an I/O error
+such as a full disk, or when out of memory; ``main`` alone makes that exit.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
@@ -32,7 +36,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -51,16 +55,6 @@ from .oracle import enumerate_solutions
 from .residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from .solver import SolveStatus, SolverConfig, default_scaling, projection_iterate
 
-RESULT_COLUMNS = (
-    "instance_id",
-    "n",
-    "formulation",
-    "point_source",
-    "residual_inf",
-    "is_solution",
-    "iterations",
-    "wall_ms",
-)
 PERTURB_EPSILONS = (1e-6, 1e-2, 0.5)
 SCALING_RANGE = (1e-3, 1e3)
 SCALING_SEED_BASE = 0xC0FFEE
@@ -192,16 +186,7 @@ class ResultRow:
     wall_ms: float
 
     def as_record(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "n": self.n,
-            "formulation": self.formulation,
-            "point_source": self.point_source,
-            "residual_inf": _json_float(self.residual_inf),
-            "is_solution": self.is_solution,
-            "iterations": self.iterations,
-            "wall_ms": self.wall_ms,
-        }
+        return {**vars(self), "residual_inf": _json_float(self.residual_inf)}
 
     def as_csv_fields(self) -> tuple[str, ...]:
         iters = "" if self.iterations is None else str(self.iterations)
@@ -215,6 +200,9 @@ class ResultRow:
             iters,
             f"{self.wall_ms:.3f}",
         )
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _json_float(x: float):
@@ -429,13 +417,9 @@ def _spec_echo(spec: GeneratorSpec, active_set: tuple[int, ...]) -> dict:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        inst, planted, active_set = generate_planted(spec)
-        save_instance(args.out, inst, planted=planted, seed=spec.seed, spec_echo=_spec_echo(spec, active_set))
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    spec = _spec_from_args(args)
+    inst, planted, active_set = generate_planted(spec)
+    save_instance(args.out, inst, planted=planted, seed=spec.seed, spec_echo=_spec_echo(spec, active_set))
     return 0
 
 
@@ -466,19 +450,14 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
 
 
 def cmd_solve(args) -> int:
-    try:
-        unit = load_instance(args.path)
-        inst = unit.instance
-        cfg = SolverConfig(
-            omega=_parse_omega(args.omega, inst),
-            relaxation=args.relaxation,
-            max_iters=args.max_iters,
-            resid_tol=args.tol,
-        )
-        start = _parse_start(args.start, inst.n)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = load_instance(args.path).instance
+    cfg = SolverConfig(
+        omega=_parse_omega(args.omega, inst),
+        relaxation=args.relaxation,
+        max_iters=args.max_iters,
+        resid_tol=args.tol,
+    )
+    start = _parse_start(args.start, inst.n)
     report = projection_iterate(inst, start, cfg)
     doc = {
         "status": report.status.value,
@@ -492,12 +471,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        unit = load_instance(args.path)
-        result = enumerate_solutions(unit.instance)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = enumerate_solutions(load_instance(args.path).instance)
     doc = {
         "solutions": [sol.tolist() for sol in result.solutions],
         "degenerate_flags": result.degenerate_flags,
@@ -513,28 +487,19 @@ def cmd_verify(args) -> int:
     unknown = [name for name in delta_names if name not in DELTA_CATALOG]
     if unknown or not delta_names:
         problem = f"unknown delta functions {unknown}" if unknown else "no delta function given"
-        print(f"error: --deltas: {problem}; choose from {', '.join(DELTA_CATALOG)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--deltas: {problem}; choose from {', '.join(DELTA_CATALOG)}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
 
-    units: list[LoadedInstance] = []
-    try:
-        for path in args.paths:
-            units.append(load_instance(path))
-        if args.gen:
-            base = _spec_from_args(args)
-            for offset in range(args.gen):
-                spec = replace(base, seed=base.seed + offset)
-                inst, planted, _ = generate_planted(spec)
-                units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    units = [load_instance(path) for path in args.paths]
+    if args.gen:
+        base = _spec_from_args(args)
+        for offset in range(args.gen):
+            spec = replace(base, seed=base.seed + offset)
+            inst, planted, _ = generate_planted(spec)
+            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
     if not units:
-        print("error: no instances given (pass paths or --gen)", file=sys.stderr)
-        return 2
+        raise ValueError("no instances given (pass paths or --gen)")
 
     rows, failures = run_verification(
         units,
@@ -543,11 +508,7 @@ def cmd_verify(args) -> int:
         scaling_count=args.scalings,
         with_solver=args.solver,
     )
-    try:
-        write_rows(rows, args.out, args.out_path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    write_rows(rows, args.out, args.out_path)
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)
@@ -627,15 +588,18 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         code = args.func(args)
-        # Flush here so that a closed reader raises below, not at exit.
+        # Flush here so that a closed reader or a full disk raises below, not at exit.
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it is caught first
         # The reader of stdout left early.  Python flushes stdout again at
         # exit, so point it at devnull, and exit 1 as Python does on EPIPE.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

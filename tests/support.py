@@ -124,21 +124,23 @@ def solve_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
     return x
 
 
-def exact_enumeration(inst: IcpInstance) -> tuple[list[list[Fraction]], int]:
-    """(distinct solutions in index-set order, exactly singular subsystems) of an affine instance.
+def exact_enumeration(inst: IcpInstance) -> tuple[list[list[Fraction]], int, list[bool]]:
+    """(distinct solutions in index-set order, exactly singular subsystems, tightness) of an affine instance.
 
     The stdlib reference for oracle.enumerate_solutions, in exact rational
     arithmetic on the floats' exact values: index set s takes row i from
     I - C with right side d_i when bit i of s is set, else from A with -b_i.
     A subsystem's solution solves the instance when H and F are both
-    nonnegative, since one of H_i and F_i is 0 by construction.
+    nonnegative, since one of H_i and F_i is 0 by construction.  A solution
+    is tight when some i has H_i = F_i = 0 exactly; a solution reached from
+    two index sets is tight at an index where they differ.
     """
     n = inst.n
     c, d = inst.f.affine_parts(n)
     ic = [[(i == j) - Fraction(c[i, j]) for j in range(n)] for i in range(n)]
     a = [[Fraction(x) for x in row] for row in inst.A]
     d, b = [Fraction(x) for x in d], [Fraction(x) for x in inst.b]
-    solutions, singular = [], 0
+    solutions, singular, tight = [], 0, []
     for s in range(1 << n):
         x = solve_exact([ic[i] + [d[i]] if s >> i & 1 else a[i] + [-b[i]] for i in range(n)])
         if x is None:
@@ -148,4 +150,5 @@ def exact_enumeration(inst: IcpInstance) -> tuple[list[list[Fraction]], int]:
         f = [sum(a[i][j] * x[j] for j in range(n)) + b[i] for i in range(n)]
         if min(h + f) >= 0 and x not in solutions:
             solutions.append(x)
-    return solutions, singular
+            tight.append(any(hi == fi == 0 for hi, fi in zip(h, f)))
+    return solutions, singular, tight

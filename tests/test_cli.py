@@ -1,4 +1,6 @@
 import csv
+import errno
+import io
 import json
 import os
 import subprocess
@@ -296,7 +298,10 @@ def test_verify_generated_corpus_json_rows(tmp_path):
     ])
     assert rc == 0
     rows = json.loads(out.read_text())
-    assert all(set(row.keys()) == set(RESULT_COLUMNS) for row in rows)
+    # The row schema is part of the CLI contract: JSON keys and the CSV
+    # header name the same columns in the same order.
+    assert RESULT_COLUMNS == ("instance_id", "n", "formulation", "point_source", "residual_inf", "is_solution", "iterations", "wall_ms")
+    assert all(tuple(row) == RESULT_COLUMNS for row in rows)
     assert {row["instance_id"] for row in rows} == {"gen-40", "gen-41", "gen-42", "gen-43"}
 
 
@@ -588,6 +593,34 @@ def test_oracle_into_a_closed_pipe_in_process_closes_its_descriptors(tmp_path, m
         after = len(os.listdir("/proc/self/fd"))
         monkeypatch.undo()
     assert after == before
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout whose writes fail as on a full disk (`> /dev/full`)."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["solve"], ["verify", "--out-path", "-"]])
+def test_full_stdout_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "lcp2.json"
+    save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(argv[:1] + [str(p)] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+def test_loading_out_of_memory_is_one_error_line(command, tmp_path, monkeypatch, capsys):
+    def out_of_memory(path):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("icpkit.cli.load_instance", out_of_memory)
+    assert main([command, str(tmp_path / "huge.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 74.5 GiB\n"
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -384,25 +384,45 @@ def assert_tree_matches_full_path(inst):
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_oracle_matches_exact_enumeration_on_small_integer_instances(n):
-    # A and b in {-1, 0, 1} make many subsystems exactly singular; half the
-    # instances are affine, with C in {-1, 0, 1} / 4 and d in {-2, ..., 2}.
-    # Exact arithmetic decides singularity and the solution test, so the
-    # float oracle must find the same isolated solutions, in the same order,
-    # and skip the same subsystems.
+def small_integer_instances(n):
+    """60 instances with A, b in {-1, 0, 1}, half affine, then 120 affine ones with identity rows in C."""
+    # Half the first 60 are affine, with C in {-1, 0, 1} / 4 and d in
+    # {-2, ..., 2}.  In the other 120, each row of C is the identity row
+    # e_i with probability 0.4, and at least one is, so I - C is singular.
     rng = np.random.default_rng([n, 2024])
     for k in range(60):
         a = rng.integers(-1, 2, (n, n)).astype(float)
         b = rng.integers(-1, 2, n).astype(float)
         f = AffineMap(rng.integers(-1, 2, (n, n)) / 4, rng.integers(-2, 3, n).astype(float)) if k % 2 else ZeroMap()
-        inst = IcpInstance(A=a, b=b, f=f)
+        yield IcpInstance(A=a, b=b, f=f)
+    for _ in range(120):
+        a = rng.integers(-1, 2, (n, n)).astype(float)
+        b = rng.integers(-1, 2, n).astype(float)
+        c = rng.integers(-1, 2, (n, n)) / 4
+        identity = rng.random(n) < 0.4
+        identity[rng.integers(n)] = True
+        c[identity] = np.eye(n)[identity]
+        yield IcpInstance(A=a, b=b, f=AffineMap(c, rng.integers(-2, 3, n).astype(float)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_matches_exact_enumeration_on_small_integer_instances(n):
+    # Entries in {-1, 0, 1} make many subsystems exactly singular, and many
+    # solutions tight.  Exact arithmetic decides singularity, the solution
+    # test and tightness, so the float oracle must find the same isolated
+    # solutions, in the same order, skip the same subsystems, and flag
+    # exactly the tight solutions.  With identity rows in C only the full
+    # path runs.
+    for k, inst in enumerate(small_integer_instances(n)):
+        if k >= 60:
+            assert not takes_tree(inst), (k, inst)
         result = enumerate_solutions(inst)
-        exact, singular = exact_enumeration(inst)
+        exact, singular, tight = exact_enumeration(inst)
         assert result.singular_skipped == singular, (k, inst)
         assert len(result.solutions) == len(exact), (k, inst)
         for x, y in zip(result.solutions, exact):
             assert np.max(np.abs(x - np.array(y, dtype=float))) <= DEDUP_RADIUS, (k, inst)
+        assert result.degenerate_flags == tight, (k, inst)
 
 
 # At n = 1 the root batch is the last level.  At n = 13 the tree halves its
