@@ -16,7 +16,8 @@ the first call.  Subcommands and exit codes:
 
 Every subcommand exits 2 with one ``error:`` line on bad input (a malformed
 file or spec, a bad flag value, n beyond the oracle's cap), on an I/O error
-such as a full disk, or when out of memory; ``main`` alone makes that exit.
+such as a full disk, or when out of memory; ``main`` alone makes that exit,
+for any ValueError, so a defect that raises one exits 2 without a traceback.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
@@ -189,20 +190,13 @@ class ResultRow:
         return {**vars(self), "residual_inf": _json_float(self.residual_inf)}
 
     def as_csv_fields(self) -> tuple[str, ...]:
-        iters = "" if self.iterations is None else str(self.iterations)
-        return (
-            self.instance_id,
-            str(self.n),
-            self.formulation,
-            self.point_source,
-            repr(self.residual_inf),
-            "true" if self.is_solution else "false",
-            iters,
-            f"{self.wall_ms:.3f}",
-        )
+        return tuple(_CSV_CELL.get(name, str)(value) for name, value in vars(self).items())
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# CSV text of the fields that str() does not render; the others use str().
+_CSV_CELL = {"residual_inf": repr, "is_solution": lambda flag: str(flag).lower(), "wall_ms": "{:.3f}".format,
+             "iterations": lambda k: "" if k is None else str(k)}
 
 
 def _json_float(x: float):
@@ -592,14 +586,21 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # an OSError, so it is caught first
-        # The reader of stdout left early.  Python flushes stdout again at
-        # exit, so point it at devnull, and exit 1 as Python does on EPIPE.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 1
+        code = 1  # the reader of stdout left early; Python exits 1 on EPIPE too
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        code = 2
+        try:
+            if isinstance(exc, OSError):  # stdout may be what failed: try it again
+                sys.stdout.flush()
+            return code
+        except OSError:
+            pass
+    # stdout failed.  Its flush kept the bytes, and Python flushes it again at
+    # exit, so point it at devnull.
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from icpkit.cli import (
     RESULT_COLUMNS,
     LoadedInstance,
+    ResultRow,
     _collect_points,
     _draw_scalings,
     build_parser,
@@ -303,6 +305,21 @@ def test_verify_generated_corpus_json_rows(tmp_path):
     assert RESULT_COLUMNS == ("instance_id", "n", "formulation", "point_source", "residual_inf", "is_solution", "iterations", "wall_ms")
     assert all(tuple(row) == RESULT_COLUMNS for row in rows)
     assert {row["instance_id"] for row in rows} == {"gen-40", "gen-41", "gen-42", "gen-43"}
+
+
+def test_csv_fields_line_up_with_the_header():
+    row = ResultRow("i3", 3, "R", "planted", 1.5e-17, True, None, 2.25)
+    assert dict(zip(RESULT_COLUMNS, row.as_csv_fields())) == {
+        "instance_id": "i3",
+        "n": "3",
+        "formulation": "R",
+        "point_source": "planted",
+        "residual_inf": "1.5e-17",
+        "is_solution": "true",
+        "iterations": "",
+        "wall_ms": "2.250",
+    }
+    assert replace(row, is_solution=False, iterations=12).as_csv_fields()[5:7] == ("false", "12")
 
 
 def test_verify_solver_rows(tmp_path):
@@ -609,6 +626,24 @@ def test_full_stdout_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", FullStdout())
     assert main(argv[:1] + [str(p)] + argv[1:]) == 2
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_full_stdout_subprocess_is_one_error_line(command, tmp_path):
+    # A real stdout is buffered: its failed flush keeps the report, and
+    # Python's flush at exit must not fail again with a second error and
+    # exit status 120.  PYTHONUNBUFFERED would hide that, so it is unset.
+    p = tmp_path / "lcp2.json"
+    save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "icpkit", command, str(p)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
