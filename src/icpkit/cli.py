@@ -1,10 +1,4 @@
-"""Command-line harness and instance-file I/O.
-
-Instance files are strict JSON (non-finite number tokens rejected) with keys
-``n``, ``A`` (row-major n*n numbers), ``b``, ``f`` ({"type": "zero"} or
-{"type": "affine", "C": ..., "d": ...}) plus optional ``planted``, ``seed``
-and a free-form ``spec`` echo.  Floats are serialized as Python's shortest
-round-trip decimals, so save/load reproduces residual evaluations bit for bit.
+"""Command-line harness: subcommands, the verification campaign and exit codes.
 
 ``main(argv)`` may be called repeatedly in one process; it builds its parser on
 the first call.  Subcommands and exit codes:
@@ -18,6 +12,7 @@ Every subcommand exits 2 with one ``error:`` line on bad input (a malformed
 file or spec, a bad flag value, n beyond the oracle's cap), on an I/O error
 such as a full disk, or when out of memory; ``main`` alone makes that exit,
 for any ValueError, so a defect that raises one exits 2 without a traceback.
+Instance files and result rows are read and written by ``icpkit.formats``.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
@@ -29,27 +24,18 @@ n > 16 is beyond the oracle: its rows are written, but it fails with an
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .core import (
-    AffineMap,
-    IcpInstance,
-    ToleranceConfig,
-    ZeroMap,
-    evaluate_F,
-    evaluate_H,
-    is_solution,
-)
+from .core import IcpInstance, ToleranceConfig, evaluate_F, evaluate_H, is_solution
+from .formats import LoadedInstance, ResultRow, json_float, load_instance, save_instance, write_rows
 from .generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, RNG_STREAM_ID, generate_planted
 from .linalg import DiagonalScaling
 from .oracle import enumerate_solutions
@@ -63,162 +49,6 @@ SCALING_SEED_BASE = 0xC0FFEE
 # below this times the relevant scaling entry.
 COMPONENT_ZERO_TOL = 1e-12
 DELTA_SOLUTION_TOL = 1e-7
-
-
-# ---------------------------------------------------------------------------
-# instance files
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite number token {token!r} is not allowed in instance files")
-
-
-def _number_list(doc, key: str, length: int) -> np.ndarray:
-    if key not in doc:
-        raise ValueError(f"field {key!r} is missing")
-    values = doc[key]
-    if not isinstance(values, list) or len(values) != length:
-        raise ValueError(f"field {key!r} must be a list of {length} numbers")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"field {key!r} must contain numbers only")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        raise ValueError(f"field {key!r} has an integer too large for a float") from None
-
-
-@dataclass
-class LoadedInstance:
-    instance_id: str
-    instance: IcpInstance
-    planted: np.ndarray | None = None
-    seed: int | None = None
-
-
-def instance_to_dict(
-    inst: IcpInstance,
-    planted: np.ndarray | None = None,
-    seed: int | None = None,
-    spec_echo: dict | None = None,
-) -> dict:
-    doc: dict = {
-        "n": inst.n,
-        "A": inst.A.flatten().tolist(),
-        "b": inst.b.tolist(),
-    }
-    if isinstance(inst.f, AffineMap):
-        doc["f"] = {"type": "affine", "C": inst.f.C.flatten().tolist(), "d": inst.f.d.tolist()}
-    elif isinstance(inst.f, ZeroMap):
-        doc["f"] = {"type": "zero"}
-    else:
-        raise ValueError(f"implicit map {inst.f.tag!r} has no file representation")
-    if planted is not None:
-        doc["planted"] = np.asarray(planted, dtype=float).tolist()
-    if seed is not None:
-        doc["seed"] = int(seed)
-    if spec_echo is not None:
-        doc["spec"] = spec_echo
-    return doc
-
-
-def instance_from_dict(doc: dict, instance_id: str = "instance") -> LoadedInstance:
-    if not isinstance(doc, dict):
-        raise ValueError("instance file must hold a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
-    a = _number_list(doc, "A", n * n).reshape(n, n)
-    b = _number_list(doc, "b", n)
-    f_doc = doc.get("f")
-    if not isinstance(f_doc, dict) or "type" not in f_doc:
-        raise ValueError("field 'f' must be an object with a 'type' key")
-    if f_doc["type"] == "zero":
-        f = ZeroMap()
-    elif f_doc["type"] == "affine":
-        f = AffineMap(_number_list(f_doc, "C", n * n).reshape(n, n), _number_list(f_doc, "d", n))
-    else:
-        raise ValueError(f"unknown implicit map type {f_doc['type']!r}")
-    planted = _number_list(doc, "planted", n) if "planted" in doc else None
-    seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ValueError(f"field 'seed' must be an integer, got {seed!r}")
-    spec = doc.get("spec")
-    if spec is not None and not isinstance(spec, dict):
-        raise ValueError("field 'spec' must be an object")
-    return LoadedInstance(instance_id=instance_id, instance=IcpInstance(A=a, b=b, f=f), planted=planted, seed=seed)
-
-
-def load_instance(path: str) -> LoadedInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except RecursionError:
-            raise ValueError("instance file nests too deeply") from None
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return instance_from_dict(doc, instance_id=stem)
-
-
-def save_instance(
-    path: str,
-    inst: IcpInstance,
-    planted: np.ndarray | None = None,
-    seed: int | None = None,
-    spec_echo: dict | None = None,
-) -> None:
-    doc = instance_to_dict(inst, planted=planted, seed=seed, spec_echo=spec_echo)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# result rows
-
-
-@dataclass
-class ResultRow:
-    instance_id: str
-    n: int
-    formulation: str
-    point_source: str
-    residual_inf: float
-    is_solution: bool
-    iterations: int | None
-    wall_ms: float
-
-    def as_record(self) -> dict:
-        return {**vars(self), "residual_inf": _json_float(self.residual_inf)}
-
-    def as_csv_fields(self) -> tuple[str, ...]:
-        return tuple(_CSV_CELL.get(name, str)(value) for name, value in vars(self).items())
-
-
-RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
-# CSV text of the fields that str() does not render; the others use str().
-_CSV_CELL = {"residual_inf": repr, "is_solution": lambda flag: str(flag).lower(), "wall_ms": "{:.3f}".format,
-             "iterations": lambda k: "" if k is None else str(k)}
-
-
-def _json_float(x: float):
-    return float(x) if math.isfinite(x) else None
-
-
-def write_rows(rows: list[ResultRow], fmt: str, out_path: str) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(row.as_csv_fields() for row in rows)
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps([row.as_record() for row in rows], indent=2, allow_nan=False) + "\n"
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +236,11 @@ def _spec_from_args(args) -> GeneratorSpec:
     )
 
 
-def _spec_echo(spec: GeneratorSpec, active_set: tuple[int, ...]) -> dict:
-    return {**asdict(spec), "rng": RNG_STREAM_ID, "active_set": list(active_set)}
-
-
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
     inst, planted, active_set = generate_planted(spec)
-    save_instance(args.out, inst, planted=planted, seed=spec.seed, spec_echo=_spec_echo(spec, active_set))
+    spec_echo = {**asdict(spec), "rng": RNG_STREAM_ID, "active_set": list(active_set)}
+    save_instance(args.out, inst, planted=planted, seed=spec.seed, spec_echo=spec_echo)
     return 0
 
 
@@ -456,9 +283,9 @@ def cmd_solve(args) -> int:
     doc = {
         "status": report.status.value,
         "iterations": report.iterations,
-        "final_residual": _json_float(report.final_residual),
-        "final_point": [_json_float(x) for x in report.final_point],
-        "residual_history": [_json_float(x) for x in report.residual_history],
+        "final_residual": json_float(report.final_residual),
+        "final_point": [json_float(x) for x in report.final_point],
+        "residual_history": [json_float(x) for x in report.residual_history],
     }
     print(json.dumps(doc, indent=2, allow_nan=False))
     return 0 if report.status is SolveStatus.CONVERGED else 1
@@ -491,7 +318,7 @@ def cmd_verify(args) -> int:
         for offset in range(args.gen):
             spec = replace(base, seed=base.seed + offset)
             inst, planted, _ = generate_planted(spec)
-            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
+            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted))
     if not units:
         raise ValueError("no instances given (pass paths or --gen)")
 

@@ -10,21 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icpkit.cli import (
-    RESULT_COLUMNS,
-    LoadedInstance,
-    ResultRow,
-    _collect_points,
-    _draw_scalings,
-    build_parser,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    main,
-    run_verification,
-    save_instance,
-)
+from icpkit.cli import _collect_points, _draw_scalings, build_parser, main, run_verification
 from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
+from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 
@@ -132,28 +120,85 @@ def test_deeply_nested_file_is_a_parse_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
 @pytest.mark.parametrize("field", ["A", "b", "C", "d"])
 def test_missing_field_is_named(tmp_path, capsys, command, field):
-    inst = IcpInstance(A=np.eye(2), b=np.ones(2), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
-    doc = instance_to_dict(inst)
-    del (doc["f"] if field in ("C", "d") else doc)[field]
     path = tmp_path / "inst.json"
+    save_instance(str(path), IcpInstance(A=np.eye(2), b=np.ones(2), f=AffineMap(0.5 * np.eye(2), np.zeros(2))))
+    doc = json.loads(path.read_text())
+    del (doc["f"] if field in ("C", "d") else doc)[field]
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"error: field '{field}' is missing\n"
 
 
-def test_instance_dict_schema():
-    inst = IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=AffineMap(0.5 * np.eye(2), np.zeros(2)))
-    doc = instance_to_dict(inst, planted=np.array([0.5, 0.5]), seed=11, spec_echo={"rng": "numpy-pcg64"})
-    assert doc["n"] == 2 and doc["spec"] == {"rng": "numpy-pcg64"}
-    assert doc["A"] == [1.0, 0.0, 0.0, 1.0]
-    assert doc["f"]["type"] == "affine" and len(doc["f"]["C"]) == 4
-    back = instance_from_dict(doc, "roundtrip")
-    assert np.array_equal(back.instance.A, inst.A)
-    assert np.array_equal(back.instance.f.C, inst.f.C)
-    assert back.seed == 11
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+@pytest.mark.parametrize("field", ["A", "b", "C", "d", "planted"])
+def test_overflowing_literal_is_a_parse_error(tmp_path, capsys, command, field):
+    # json reads 1e400 as inf, which no field of an instance file may hold.
+    values = {"A": "2, 0, 0, 2", "b": "-1, 1", "C": "0.5, 0, 0, 0.5", "d": "0, 0", "planted": "0.5, 0"}
+    values[field] = "1e400" + values[field][values[field].index(","):]
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 2, "A": [%(A)s], "b": [%(b)s], "f": {"type": "affine", "C": [%(C)s], "d": [%(d)s]}, '
+                    '"planted": [%(planted)s]}' % values)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
 
-    zero_doc = instance_to_dict(IcpInstance(A=np.eye(1), b=np.zeros(1), f=ZeroMap()))
-    assert zero_doc["f"] == {"type": "zero"}
+
+# Key order, indent=2, the trailing newline and shortest round-trip floats.
+SAVED_INSTANCE = """{
+  "n": 2,
+  "A": [
+    4.0,
+    0.1,
+    -0.3,
+    2.0
+  ],
+  "b": [
+    -1.0,
+    0.3333333333333333
+  ],
+  "f": {
+    "type": "affine",
+    "C": [
+      0.25,
+      0.0,
+      1e-17,
+      -0.5
+    ],
+    "d": [
+      0.1,
+      0.0
+    ]
+  },
+  "planted": [
+    0.25,
+    0.0
+  ],
+  "seed": 7,
+  "spec": {
+    "rng": "numpy-pcg64",
+    "active_set": [
+      0
+    ]
+  }
+}
+"""
+
+
+def test_save_instance_writes_the_pinned_text(tmp_path):
+    inst = IcpInstance(A=[[4.0, 0.1], [-0.3, 2.0]], b=[-1.0, 1 / 3],
+                       f=AffineMap([[0.25, 0.0], [1e-17, -0.5]], [0.1, 0.0]))
+    path = tmp_path / "inst.json"
+    save_instance(str(path), inst, planted=np.array([0.25, 0.0]), seed=7,
+                  spec_echo={"rng": "numpy-pcg64", "active_set": [0]})
+    assert path.read_bytes() == SAVED_INSTANCE.encode()
+    back = load_instance(str(path))
+    assert np.array_equal(back.instance.A, inst.A) and np.array_equal(back.instance.b, inst.b)
+    assert np.array_equal(back.instance.f.C, inst.f.C) and np.array_equal(back.instance.f.d, inst.f.d)
+    assert np.array_equal(back.planted, [0.25, 0.0])
+
+    zero = tmp_path / "zero.json"
+    save_instance(str(zero), IcpInstance(A=np.eye(1), b=np.zeros(1), f=ZeroMap()))
+    assert json.loads(zero.read_text()) == {"n": 1, "A": [1.0], "b": [0.0], "f": {"type": "zero"}}
 
 
 def test_verify_passes_on_sound_corpus(tmp_path):
@@ -265,7 +310,7 @@ def test_stacked_campaign_matches_per_point_calls():
             spec = GeneratorSpec(n=5, seed=len(units), matrix_family=matrix_family, f_family=f_family,
                                  gamma=0.5, active_fraction=0.5)
             inst, planted, _ = generate_planted(spec)
-            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted, seed=spec.seed))
+            units.append(LoadedInstance(f"gen-{spec.seed}", inst, planted=planted))
     tol = 1e-10
     rows, _ = run_verification(units, tol, list(DELTA_CATALOG), scaling_count=3, with_solver=True)
 
