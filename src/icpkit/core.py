@@ -150,17 +150,14 @@ def evaluate_F(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
 class SolutionCheck:
     """Outcome of the solution test with the H and F it tested.
 
-    For one point ok is a bool, whose truthiness the check mirrors, and h and
-    f are arrays of shape (n,).  For a stack of p points ok is a bool array of
-    length p and h and f have shape (p, n); row k describes point k.
+    For one point ok is a bool and h and f are arrays of shape (n,).  For a
+    stack of p points ok is a bool array of length p and h and f have shape
+    (p, n); row k describes point k.
     """
 
     ok: bool | np.ndarray
     h: np.ndarray
     f: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_solution(inst: IcpInstance, r: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionCheck:

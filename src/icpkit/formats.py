@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import AffineMap, IcpInstance, ZeroMap
-from .linalg import as_vector
 
 # ---------------------------------------------------------------------------
 # instance files
@@ -44,9 +43,13 @@ def _number_list(doc, key: str, length: int) -> np.ndarray:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ValueError(f"field {key!r} must contain numbers only")
     try:
-        return np.array(values, dtype=float)
+        array = np.array(values, dtype=float)
     except OverflowError:
         raise ValueError(f"field {key!r} has an integer too large for a float") from None
+    # Non-finite tokens never parse, so only a literal that overflows lands here.
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"field {key!r} has a non-finite number: a literal out of the float range")
+    return array
 
 
 @dataclass
@@ -79,7 +82,7 @@ def load_instance(path: str) -> LoadedInstance:
         f = AffineMap(_number_list(f_doc, "C", n * n).reshape(n, n), _number_list(f_doc, "d", n))
     else:
         raise ValueError(f"unknown implicit map type {f_doc['type']!r}")
-    planted = as_vector(_number_list(doc, "planted", n), name="planted") if "planted" in doc else None
+    planted = _number_list(doc, "planted", n) if "planted" in doc else None
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ValueError(f"field 'seed' must be an integer, got {seed!r}")

@@ -14,19 +14,18 @@ LCP(M, q), M = A P and q = A P d + b (Pang 1981).  Index set S (z_S = 0) is
 the basis that pivots the tableau w = M z + q on Sbar, whose last column then
 holds z on Sbar and w on S (Tucker 1963; Cottle, Pang and Stone 1992, ch. 2).
 Level i splits each node into "z_i = 0" (bit i set) and "pivot on (i, i)".
-One pivot step, _pivot, serves every level: a growth test and a rank-one
-update over a batch of column-major (columns, n, nodes) tableaux, halved
-before any level that would outgrow _LEVEL_BYTES; levels alternate between
-two sets of buffers allocated once.  The last level keeps only the pivot
-children, in a level buffer, and reads the other leaves' last column in
-place from their parents' q column.  A leaf whose last column has a clearly
-negative entry is dropped (see _Z_MARGIN); r = P (z + d) is rebuilt for the
-others, which reach check_solution as one batch.  A pivot that grows the
-tableau past what the tolerances allow sends its subtree to the full n x n
-path (see _ROUNDING_SHARE), which runs whole when I - C is singular or
-ill-conditioned; only that path counts singular_skipped.  Both paths'
-candidates go through check_solution, the one solution test, and the two agree
-within DEDUP_RADIUS: the same solutions in order, with the same flags.
+One pivot step, _pivot, serves every level, the last included: a growth
+test and a rank-one update over a batch of column-major (columns, n, nodes)
+tableaux, halved before any level that would outgrow _LEVEL_BYTES; levels
+alternate between two sets of buffers allocated once.  A leaf whose last
+column has a clearly negative entry is dropped (see _Z_MARGIN); r = P (z + d)
+is rebuilt for the others, which reach check_solution as one batch.  A pivot
+that grows the tableau past what the tolerances allow sends its subtree to
+the full n x n path (see _ROUNDING_SHARE), which runs whole when I - C is
+singular or ill-conditioned; only that path counts singular_skipped.  Both
+paths' candidates go through check_solution, the one solution test, and the
+two agree within DEDUP_RADIUS: the same solutions in order, with the same
+flags.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -79,8 +78,7 @@ _ROUNDING_SHARE = 0.1
 _Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
 # A tree batch halves before a level whose tableaux would pass this many
 # bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
-# peaked higher), and it sizes the tree's two level buffers and its scratch;
-# the last level's parents fill at most one level buffer, so it never halves.
+# peaked higher), and it sizes the tree's two level buffers and its scratch.
 _LEVEL_BYTES = 1 << 18
 
 
@@ -191,16 +189,16 @@ def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndar
         yield chunk[~singular], points[~singular], int(singular.sum())
 
 
-def _pivot(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, out: np.ndarray, scratch: np.ndarray):
+def _pivot(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, scratch: np.ndarray):
     """Level i of the tree: (tableaux, ids, bounds) of the children that pivot on (i, i), and the nodes that fail to.
 
     t[c, :, k] is column c of node k's tableau (columns i..n-1 of its M, then
     q), ids[k] its index set and g[k] a bound on its entries.  Both children
     of a node drop column i, t[0], whose variable is 0 at the leaves; the one
-    that keeps z_i = 0 (bit i set) is t[1:] unchanged.  The pivot children of
-    the nodes that pass the growth test fill the front of the flat buffer out
-    as one block.  The flat buffer scratch takes the test's |entries| and may
-    be out; neither may hold t, ids or g.
+    that keeps z_i = 0 (bit i set) is t[1:] unchanged.  The flat buffer
+    scratch, which may not hold t, ids or g, takes the test's |entries|; then
+    the pivot children of the nodes that pass the test fill its front as one
+    block.
     """
     col, rest = t[0], t[1:]
     row, piv = rest[:, i], col[i]
@@ -211,7 +209,7 @@ def _pivot(t: np.ndarray, ids: np.ndarray, g: np.ndarray, i: int, g_max: float, 
     sel, bad = (slice(None), ids[:0]) if ok.all() else (ok, ids[~ok])
     piv = piv[sel]
     rp = row[:, sel] / piv
-    child = out[: rest[:, :, 0].size * len(piv)].reshape(rest.shape[:2] + (len(piv),))
+    child = scratch[: rest[:, :, 0].size * len(piv)].reshape(rest.shape[:2] + (len(piv),))
     np.multiply(col[:, sel], rp[:, None], out=child)
     np.subtract(rest[:, :, sel], child, out=child)
     np.negative(rp, out=child[:, i])
@@ -223,20 +221,18 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
 
     A batch runs each level whole until the next would pass _LEVEL_BYTES,
     then halves; a copy of one half, not a view that pins the batch, waits on
-    a stack.  Level i < n - 1 builds its pivot children in the flat buffer
-    scratch, over contiguous blocks (at n = 16 numpy runs the update about
-    twice as fast that way), then writes them, followed by the children that
-    keep z_i = 0, into buffers i % 2, free of its parents.  The last level
-    runs on each batch's parents, whose two columns are column n - 1 and q:
-    it writes its pivot children straight into a level buffer, and tests the
-    children that keep z_{n-1} = 0 in their parents' q column.
+    a stack.  Level i builds its pivot children in the flat buffer scratch,
+    over contiguous blocks (at n = 16 numpy runs the update about twice as
+    fast that way), then writes them, followed by the children that keep
+    z_i = 0, into buffers i % 2, free of its parents.
     """
     n = inst.n
-    # Level n - 2 writes the most, n << n floats; only a one-node batch, whose
-    # children take 2 n^2 floats at most, passes _LEVEL_BYTES.  Levels below
-    # n - 1 write at least 2n floats per child, so at most size // 2n ids.
+    # Levels n - 2 and n - 1 write the most, n << n floats; only a one-node
+    # batch, whose children take 2 n^2 floats at most, passes _LEVEL_BYTES.
+    # A child takes at least n floats, exactly n at the last level, so a level
+    # writes at most size // n ids.
     size = min(max(_LEVEL_BYTES // 8, 2 * n * n), n << n)
-    bufs = [(np.empty(size), np.empty(size // (2 * n), dtype=np.int64), np.empty(size // (2 * n))) for _ in range(2)]
+    bufs = [(np.empty(size), np.empty(size // n, dtype=np.int64), np.empty(size // n)) for _ in range(2)]
     scratch = np.empty(size)
     unstable = [np.zeros(0, dtype=np.int64)]
     found = []  # (ids, points) of each batch's leaves that pass _Z_MARGIN
@@ -251,25 +247,21 @@ def _tree_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, p, m, q, g_m
                 stack.append((t[:, :, h:].copy(), ids[h:].copy(), g[h:].copy(), i))
                 t, ids, g = t[:, :, :h], ids[:h], g[:h]
             tab, child_ids, child_g = bufs[i % 2]
-            child, pivot_ids, pivot_g, bad = _pivot(t, ids, g, i, g_max, tab if i == n - 1 else scratch, scratch)
+            child, pivot_ids, pivot_g, bad = _pivot(t, ids, g, i, g_max, scratch)
             if len(bad):
                 # The subtree under node s of level i holds s + (j << (i + 1)) for every j.
                 unstable.append((bad[:, None] + (np.arange(1 << (n - i - 1)) << (i + 1))).ravel())
-            if i < n - 1:
-                k, width = len(pivot_g), len(pivot_g) + len(ids)
-                tab = tab[: (len(t) - 1) * n * width].reshape(len(t) - 1, n, width)
-                tab[:, :, :k], tab[:, :, k:] = child, t[1:]
-                child_ids[:k], child_ids[k:width] = pivot_ids, ids | 1 << i
-                child_g[:k], child_g[k:width] = pivot_g, g
-                t, ids, g = tab, child_ids[:width], child_g[:width]
+            k, width = len(pivot_g), len(pivot_g) + len(ids)
+            tab = tab[: (len(t) - 1) * n * width].reshape(len(t) - 1, n, width)
+            tab[:, :, :k], tab[:, :, k:] = child, t[1:]
+            child_ids[:k], child_ids[k:width] = pivot_ids, ids | 1 << i
+            child_g[:k], child_g[k:width] = pivot_g, g
+            t, ids, g = tab, child_ids[:width], child_g[:width]
         # A leaf's last column holds w_i where bit i is set and z_i elsewhere.
-        kept = []
-        for leaves, leaf_ids in ((child[0], pivot_ids), (t[1], ids | 1 << (n - 1))):
-            low = leaves.min(axis=0)
-            margin = _Z_MARGIN * (1.0 + np.maximum(leaves.max(axis=0), -low) + d_max)
-            keep = low >= -(ORACLE_TOL.feas_tol + margin)
-            kept += [leaf_ids[keep], leaves[:, keep]]
-        leaf_ids, leaves = np.concatenate(kept[::2]), np.concatenate(kept[1::2], axis=1)
+        low = t[0].min(axis=0)
+        margin = _Z_MARGIN * (1.0 + np.maximum(t[0].max(axis=0), -low) + d_max)
+        keep = low >= -(ORACLE_TOL.feas_tol + margin)
+        leaf_ids, leaves = ids[keep], t[0][:, keep]
         z = np.where((leaf_ids[:, None] >> np.arange(n)) & 1, 0.0, leaves.T)
         found.append((leaf_ids, (z + d) @ p.T))
     yield *map(np.concatenate, zip(*found)), 0

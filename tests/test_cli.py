@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import icpkit.cli as cli
 from icpkit.cli import _collect_points, _draw_scalings, build_parser, main, run_verification
 from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
 from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance
@@ -140,7 +141,36 @@ def test_overflowing_literal_is_a_parse_error(tmp_path, capsys, command, field):
                     '"planted": [%(planted)s]}' % values)
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: field '{field}' has a non-finite number")
+
+
+VALID_DOC = '{"n": 1, "A": [2], "b": [-1], "f": {"type": "zero"}, "seed": 3, "spec": {}}'
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve", "verify"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (VALID_DOC, "[1, 2]", "instance file must hold a JSON object"),
+        ('"n": 1', '"n": 0', "field 'n' must be a positive integer, got 0"),
+        ('"n": 1', '"n": true', "field 'n' must be a positive integer, got True"),
+        ('"n": 1', '"n": "2"', "field 'n' must be a positive integer, got '2'"),
+        ('{"type": "zero"}', '"zero"', "field 'f' must be an object with a 'type' key"),
+        ('{"type": "zero"}', "{}", "field 'f' must be an object with a 'type' key"),
+        ('"zero"}', '"cubic"}', "unknown implicit map type 'cubic'"),
+        ("[2]", "[true]", "field 'A' must contain numbers only"),
+        ("[-1]", '["1"]', "field 'b' must contain numbers only"),
+        ('"seed": 3', '"seed": 3.0', "field 'seed' must be an integer, got 3.0"),
+        ('"spec": {}', '"spec": [1]', "field 'spec' must be an object"),
+    ],
+)
+def test_load_rejections_are_one_error_line(tmp_path, capsys, command, old, new, message):
+    path = tmp_path / "inst.json"
+    path.write_text(VALID_DOC)
+    load_instance(str(path))  # each case breaks one part of a valid file
+    path.write_text(VALID_DOC.replace(old, new))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Key order, indent=2, the trailing newline and shortest round-trip floats.
@@ -249,6 +279,39 @@ def test_verify_flags_corrupted_planted(tmp_path):
     bad.write_text(json.dumps(doc))
     rc = main(["verify", str(bad), "--out", "csv", "--out-path", str(tmp_path / "rows.csv")])
     assert rc == 1
+
+
+# A = I, b = -1, f = 0 has the one solution (1, 1), where R, Rbar and G are
+# exactly 0.  The points are planted and oracle (1, 1), then the perturbed
+# (1 + 1e-6, 1), (1, 1.01) and (1.5, 1), where R = (0.5, 0) and G = (-1, 0).
+# Each case changes one residual at one component of one point, so that
+# exactly one check fires.
+@pytest.mark.parametrize(
+    "name, point, component, value, line",
+    [
+        ("natural_residual", 4, 0, 1e-11, "perturbed: non-solution with |R| = 1.000e-11 <= 1.0e-10"),
+        ("scaled_residual", 0, 0, 1e-300, "planted: exact-zero disagreement between R and Rbar"),
+        ("scaled_residual", 4, 1, 1.0, "perturbed: componentwise zero sets of R and Rbar differ"),
+        ("delta_residual", 0, 0, 1e-300, "planted: R is exactly zero but G:identity is not"),
+        ("delta_residual", 4, 0, 0.0, "perturbed: G:identity is exactly zero but |R| = 5.000e-01"),
+    ],
+)
+def test_verify_reports_each_residual_disagreement(tmp_path, monkeypatch, capsys, name, point, component, value, line):
+    path = tmp_path / "eye.json"
+    save_instance(str(path), IcpInstance(A=np.eye(2), b=-np.ones(2), f=ZeroMap()), planted=np.ones(2))
+    argv = ["verify", str(path), "--deltas", "identity", "--scalings", "1", "--out-path", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    residual = getattr(cli, name)
+
+    def disagreeing(*args):
+        out = residual(*args)
+        out[point, component] = value
+        return out
+
+    monkeypatch.setattr(cli, name, disagreeing)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"FAIL eye/{line}", "1 equivalence check(s) failed"]
 
 
 def test_verify_handles_instances_without_planted(tmp_path):

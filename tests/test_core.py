@@ -53,7 +53,7 @@ def test_is_solution_examples():
     assert not is_solution(lcp, np.array([0.5]))
     report = check_solution(lcp, np.array([0.5]))
     assert report.h.tolist() == [0.5] and report.f.tolist() == [-0.5]
-    assert not report
+    assert not report.ok
 
 
 def test_check_solution_reports_worst_violation():

@@ -605,9 +605,9 @@ def test_mixed_pivot_failures_at_the_last_level_fall_back():
     assert_tree_matches_full_path(inst)
 
 
-def test_pivot_writes_only_into_out_and_scratch():
-    # The pivot children fill the front of out, whether out is its own
-    # buffer or scratch; t, ids and g are left as they were.
+def test_pivot_writes_only_into_scratch():
+    # The pivot children fill the front of scratch, whatever it held before;
+    # t, ids and g are left as they were.
     n = 6
     rng = np.random.default_rng(4)
     inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-1.0, 1.0, n), f=ZeroMap())
@@ -617,13 +617,13 @@ def test_pivot_writes_only_into_out_and_scratch():
     ids, g = np.array([4, 6, 2]), np.abs(t).max(axis=(0, 1))
     parents = [t.copy(), ids.copy(), g.copy()]
     results = []
-    for out, scratch in ((np.full(4 * n * n, np.nan), np.full(4 * n * n, np.nan)), (np.full(4 * n * n, np.nan),) * 2):
-        child, child_ids, child_g, bad = oracle._pivot(t, ids, g, 0, g_max, out, scratch)
+    for fill in (np.nan, 7.0):
+        scratch = np.full(4 * n * n, fill)
+        child, child_ids, child_g, bad = oracle._pivot(t, ids, g, 0, g_max, scratch)
         assert all(np.array_equal(a, b) for a, b in zip((t, ids, g), parents))
-        assert child.shape == (n, n, 2) and np.shares_memory(child, out[: 2 * n * n])
-        assert not np.shares_memory(child, out[2 * n * n :]) and not np.shares_memory(child, t)
-        if out is not scratch:
-            assert np.isnan(out[2 * n * n :]).all()
+        assert child.shape == (n, n, 2) and np.shares_memory(child, scratch[: 2 * n * n])
+        assert not np.shares_memory(child, scratch[2 * n * n :]) and not np.shares_memory(child, t)
+        assert np.array_equal(scratch[2 * n * n :], np.full(2 * n * n, fill), equal_nan=True)
         assert child_ids.tolist() == [4, 2] and bad.tolist() == [6]
         assert np.all(child_g > g[[0, 2]])
         results.append(child.copy())
@@ -631,21 +631,27 @@ def test_pivot_writes_only_into_out_and_scratch():
     assert np.array_equal(results[0][:, 0, 0], -t[1:, 0, 0] / t[0, 0, 0])
 
 
+# f = 0 makes M = A.  The root pivot passes; at level 1, node 0's pivot,
+# A_11 - A_10 A_01 / A_00 = -0.5, passes and node 1's, A_11 = 0, fails, which
+# sends the sets 1 + 4 j.  Column 3 of A is A_33 e_3, which no pivot changes:
+# with A_33 = 0 every pivot of the last level fails and sends the last level's
+# parents, in batch order; with A_33 = 1 every one passes.
 @pytest.mark.filterwarnings("error")
-def test_levels_write_pivot_children_then_kept_children_into_fresh_buffers(monkeypatch):
-    # f = 0 makes M = A.  The root pivot passes; at level 1, node 0's pivot,
-    # A_11 - A_10 A_01 / A_00 = -0.5, passes and node 1's, A_11 = 0, fails,
-    # which sends the sets 1 + 4 j.  Column 3 of A is 0, so every pivot of
-    # the last level fails and sends the last level's parents, in batch order.
-    a = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+@pytest.mark.parametrize(
+    "a33, expected_sent", [(0.0, [[1, 5, 9, 13, 0, 2, 3, 4, 6, 7]]), (1.0, [[1, 5, 9, 13]])]
+)
+def test_levels_write_pivot_children_then_kept_children_into_fresh_buffers(a33, expected_sent, monkeypatch):
+    a = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, a33]])
+    n = len(a)
     inst = IcpInstance(A=a, b=np.array([-1.0, -1.0, -1.0, 1.0]), f=ZeroMap())
     assert takes_tree(inst)
     calls, pivot = [], oracle._pivot
 
-    def recording_pivot(t, ids, g, i, g_max, out, scratch):
-        children = pivot(t, ids, g, i, g_max, out, scratch)
+    def recording_pivot(t, ids, g, i, g_max, scratch):
+        children = pivot(t, ids, g, i, g_max, scratch)
         copies = [t.copy(), ids.copy(), g.copy()]
-        calls.append(dict(i=i, level=(t, ids, g), copies=copies, out=out, scratch=scratch, pivot_ids=children[1].copy()))
+        assert children[0].base is scratch
+        calls.append(dict(i=i, level=(t, ids, g), copies=copies, scratch=scratch, pivot_ids=children[1].copy()))
         return children
 
     sent, full_batches = [], oracle._full_batches
@@ -653,16 +659,22 @@ def test_levels_write_pivot_children_then_kept_children_into_fresh_buffers(monke
     monkeypatch.setattr(oracle, "_full_batches", lambda *args: sent.append(args[-1].tolist()) or full_batches(*args))
     enumerate_solutions(inst)
     assert [call["copies"][1].tolist() for call in calls] == [[0], [0, 1], [0, 2, 3], [0, 2, 3, 4, 6, 7]]
-    assert sent == [[1, 5, 9, 13, 0, 2, 3, 4, 6, 7]]
-    for parent, child in zip(calls, calls[1:]):
-        # A level's pivot step builds in scratch, and the children land in
-        # buffers that hold neither their parents nor scratch.
-        assert parent["out"] is parent["scratch"]
+    assert sent == expected_sent
+    # The last level's leaves are the front of the buffers that held level
+    # n - 2's parents; nothing writes them after the last level.
+    last = calls[-1]
+    width = len(last["pivot_ids"]) + len(last["copies"][1])
+    tab, leaf_ids, leaf_g = (buffer.base for buffer in calls[-2]["level"])
+    level = (tab[: n * width].reshape(1, n, width), leaf_ids[:width], leaf_g[:width])
+    leaves = dict(level=level, copies=level)
+    for parent, child in zip(calls, calls[1:] + [leaves]):
+        # Every level builds in the one scratch buffer, and its children land
+        # in buffers that hold neither their parents nor scratch.
+        assert parent["scratch"] is calls[0]["scratch"]
         assert not any(np.shares_memory(a, b) for a in child["level"] for b in (*parent["level"], parent["scratch"]))
         (t, ids, g), (child_t, child_ids, child_g) = parent["copies"], child["copies"]
         assert child_ids.tolist() == parent["pivot_ids"].tolist() + (ids | 1 << parent["i"]).tolist()
         assert np.array_equal(child_t[:, :, -len(ids) :], t[1:]) and np.array_equal(child_g[-len(ids) :], g)
-    assert calls[-1]["out"] is not calls[-1]["scratch"]
 
 
 @pytest.mark.parametrize("case", ["generated", "A00_zero"])
