@@ -74,24 +74,16 @@ def _collect_points(
     if unit.planted is not None:
         points.append(("planted", unit.planted, None))
     try:
-        oracle_result = enumerate_solutions(inst)
+        points += [("oracle", sol, None) for sol in enumerate_solutions(inst).solutions]
     except ValueError as exc:
         failures.append(f"{unit.instance_id}: oracle unavailable ({exc})")
-        oracle_result = None
-    if oracle_result is not None:
-        for sol in oracle_result.solutions:
-            points.append(("oracle", sol, None))
-    base = unit.planted
-    if base is None and oracle_result is not None and oracle_result.solutions:
-        base = oracle_result.solutions[0]
-    if base is not None:
+    if points:
+        # The planted point, else the first oracle solution, is perturbed.
+        base = points[0][1]
         for k, eps in enumerate(PERTURB_EPSILONS):
-            direction = np.zeros(inst.n)
-            direction[k % inst.n] = 1.0
-            points.append(("perturbed", base + eps * direction, None))
+            points.append(("perturbed", base + eps * (np.arange(inst.n) == k % inst.n), None))
     if with_solver:
-        cfg = SolverConfig(omega=default_scaling(inst.A))
-        report = projection_iterate(inst, np.zeros(inst.n), cfg)
+        report = projection_iterate(inst, np.zeros(inst.n), SolverConfig(omega=default_scaling(inst.A)))
         if np.all(np.isfinite(report.final_point)):
             points.append(("solver", report.final_point, report.iterations))
     return points, failures
@@ -99,111 +91,6 @@ def _collect_points(
 
 # Extreme data overflows; the residuals that are not finite fail below.
 @np.errstate(all="ignore")
-def _verify_unit(
-    index: int,
-    unit: LoadedInstance,
-    tol: float,
-    delta_names: list[str],
-    scaling_count: int,
-    with_solver: bool,
-) -> tuple[list[ResultRow], list[str]]:
-    inst = unit.instance
-    points, failures = _collect_points(unit, with_solver)
-    if not points:
-        return [], failures
-    scalings = _draw_scalings(inst.n, scaling_count, index)
-    tol_cfg = ToleranceConfig(feas_tol=tol, comp_tol=tol)
-    # Each formulation is evaluated once over the stack of all points, row by
-    # row, and its time is split evenly among the points' rows.
-    stack = np.array([point for _, point, _ in points])
-    ms_per_point = 1e3 / len(points)
-
-    start = time.perf_counter()
-    natural = natural_residual(inst, stack)
-    natural_ms = (time.perf_counter() - start) * ms_per_point
-    natural_norm = np.max(np.abs(natural), axis=1)
-    solution = is_solution(inst, stack, tol_cfg)
-    h_scale = np.max(np.abs(evaluate_H(inst, stack)), axis=1)
-    f_scale = np.max(np.abs(evaluate_F(inst, stack)), axis=1)
-    natural_zero_comp = np.abs(natural) <= COMPONENT_ZERO_TOL
-
-    start = time.perf_counter()
-    scaled_worst = np.zeros(len(points))
-    scaled_checks = []
-    for omega1, omega2 in scalings:
-        scaled = np.abs(scaled_residual(inst, stack, omega1, omega2))
-        scaled_norm = np.max(scaled, axis=1)
-        scaled_worst = np.maximum(scaled_worst, scaled_norm)
-        entry_max = np.maximum(omega1.diag, omega2.diag)
-        entry_min = np.minimum(omega1.diag, omega2.diag)
-        # Componentwise zero-set equality, rendered as the two one-sided
-        # implications that hold for every positive scaling pair: a zero
-        # R_i forces |Rbar_i| under the larger entry's threshold, and an
-        # |Rbar_i| under the smaller entry's threshold forces R_i zero.
-        # In between the scaling ratio alone decides, so nothing is claimed.
-        forward_bad = natural_zero_comp & (scaled > COMPONENT_ZERO_TOL * entry_max * (1.0 + 1e-12))
-        reverse_bad = ~natural_zero_comp & (scaled <= COMPONENT_ZERO_TOL * entry_min * (1.0 - 1e-12))
-        too_large = scaled_norm > tol * float(entry_max.max())
-        zero_differs = (scaled_norm == 0.0) != (natural_norm == 0.0)
-        scaled_checks.append((scaled_norm, too_large, zero_differs, np.any(forward_bad | reverse_bad, axis=1)))
-    scaled_ms = (time.perf_counter() - start) * ms_per_point
-
-    delta_norms = []
-    for name in delta_names:
-        start = time.perf_counter()
-        g = delta_residual(inst, stack, DELTA_CATALOG[name])
-        delta_ms = (time.perf_counter() - start) * ms_per_point
-        delta_norms.append((name, np.max(np.abs(g), axis=1), delta_ms))
-
-    rows: list[ResultRow] = []
-    for k, (source, _, iters) in enumerate(points):
-        norm, is_sol = float(natural_norm[k]), bool(solution[k])
-        label = f"{unit.instance_id}/{source}"
-        # One evaluation roundoff of the delta formulation; it bounds how large
-        # |R| can be at a point where G still evaluates to exactly zero.
-        roundoff = 4.0 * np.finfo(float).eps * max(1.0, float(h_scale[k]), float(f_scale[k]))
-
-        rows.append(ResultRow(unit.instance_id, inst.n, "R", source, norm, is_sol, iters, natural_ms))
-        if source in ("planted", "oracle"):
-            if not is_sol:
-                failures.append(f"{label}: expected a solution, is_solution is false")
-            if norm > tol:
-                failures.append(f"{label}: |R| = {norm:.3e} exceeds {tol:.1e}")
-        elif source == "perturbed" and not is_sol and norm <= tol:
-            failures.append(f"{label}: non-solution with |R| = {norm:.3e} <= {tol:.1e}")
-
-        for scaled_norm, too_large, zero_differs, comp_differs in scaled_checks:
-            if source in ("planted", "oracle") and too_large[k]:
-                failures.append(f"{label}: scaled residual {float(scaled_norm[k]):.3e} too large")
-            if zero_differs[k]:
-                failures.append(f"{label}: exact-zero disagreement between R and Rbar")
-            if comp_differs[k]:
-                failures.append(f"{label}: componentwise zero sets of R and Rbar differ")
-        rows.append(
-            ResultRow(unit.instance_id, inst.n, "Rbar", source, float(scaled_worst[k]), is_sol, iters, scaled_ms)
-        )
-
-        for name, g_norms, delta_ms in delta_norms:
-            g_norm = float(g_norms[k])
-            if source in ("planted", "oracle") and g_norm > DELTA_SOLUTION_TOL:
-                failures.append(f"{label}: delta residual ({name}) {g_norm:.3e} too large")
-            # Zero-set agreement: an exact zero of R forces an exact zero of G;
-            # the converse holds up to the evaluation roundoff of G (its three
-            # delta calls can absorb a sub-ulp complementarity violation).
-            if norm == 0.0 and 0.0 < g_norm < math.inf:
-                failures.append(f"{label}: R is exactly zero but G:{name} is not")
-            if g_norm == 0.0 and norm > roundoff:
-                failures.append(f"{label}: G:{name} is exactly zero but |R| = {norm:.3e}")
-            rows.append(
-                ResultRow(unit.instance_id, inst.n, f"G:{name}", source, g_norm, is_sol, iters, delta_ms)
-            )
-    # nan fails none of the comparisons above, and inf not all of them.
-    for row in rows:
-        if not math.isfinite(row.residual_inf):
-            failures.append(f"{row.instance_id}/{row.point_source}: {row.formulation} residual is not finite")
-    return rows, failures
-
-
 def run_verification(
     units: list[LoadedInstance],
     tol: float,
@@ -215,9 +102,91 @@ def run_verification(
     rows: list[ResultRow] = []
     failures: list[str] = []
     for index, unit in enumerate(units):
-        unit_rows, unit_failures = _verify_unit(index, unit, tol, delta_names, scaling_count, with_solver)
-        rows.extend(unit_rows)
-        failures.extend(unit_failures)
+        inst = unit.instance
+        points, unit_failures = _collect_points(unit, with_solver)
+        failures += unit_failures
+        if not points:
+            continue
+        sources = np.array([source for source, _, _ in points])
+        at_solution = (sources == "planted") | (sources == "oracle")
+        # Each formulation is evaluated once over the stack of all points, row by
+        # row, and its time is split evenly among the points' rows.
+        stack = np.array([point for _, point, _ in points])
+        ms_per_point = 1e3 / len(points)
+
+        # Each formulation is (name, norm per point, wall_ms), in row order.
+        start = time.perf_counter()
+        natural = natural_residual(inst, stack)
+        norm = np.max(np.abs(natural), axis=1)
+        forms = [("R", norm, (time.perf_counter() - start) * ms_per_point)]
+        solution = is_solution(inst, stack, ToleranceConfig(feas_tol=tol, comp_tol=tol))
+        # One evaluation roundoff of the delta formulation bounds how large |R|
+        # can be where G is exactly zero; like max(), fmax skips a nan scale.
+        h_scale = np.max(np.abs(evaluate_H(inst, stack)), axis=1)
+        f_scale = np.max(np.abs(evaluate_F(inst, stack)), axis=1)
+        above_roundoff = norm > 4.0 * np.finfo(float).eps * np.fmax(np.fmax(1.0, h_scale), f_scale)
+        natural_zero = norm == 0.0
+        natural_zero_comp = np.abs(natural) <= COMPONENT_ZERO_TOL
+        # Each check is (fails per point, message, value per point); a point
+        # reports its failures in the order of this list.
+        checks = [
+            (at_solution & ~solution, "expected a solution, is_solution is false", norm),
+            (at_solution & (norm > tol), f"|R| = {{:.3e}} exceeds {tol:.1e}", norm),
+            ((sources == "perturbed") & ~solution & (norm <= tol),
+             f"non-solution with |R| = {{:.3e}} <= {tol:.1e}", norm),
+        ]
+
+        start = time.perf_counter()
+        scaled_worst = np.zeros(len(points))
+        for omega1, omega2 in _draw_scalings(inst.n, scaling_count, index):
+            scaled = np.abs(scaled_residual(inst, stack, omega1, omega2))
+            scaled_norm = np.max(scaled, axis=1)
+            scaled_worst = np.maximum(scaled_worst, scaled_norm)
+            entry_max = np.maximum(omega1.diag, omega2.diag)
+            entry_min = np.minimum(omega1.diag, omega2.diag)
+            # Componentwise zero-set equality, rendered as the two one-sided
+            # implications that hold for every positive scaling pair: a zero
+            # R_i forces |Rbar_i| under the larger entry's threshold, and an
+            # |Rbar_i| under the smaller entry's threshold forces R_i zero.
+            # In between the scaling ratio alone decides, so nothing is claimed.
+            forward_bad = natural_zero_comp & (scaled > COMPONENT_ZERO_TOL * entry_max * (1.0 + 1e-12))
+            reverse_bad = ~natural_zero_comp & (scaled <= COMPONENT_ZERO_TOL * entry_min * (1.0 - 1e-12))
+            checks += [
+                (at_solution & (scaled_norm > tol * float(entry_max.max())),
+                 "scaled residual {:.3e} too large", scaled_norm),
+                ((scaled_norm == 0.0) != natural_zero, "exact-zero disagreement between R and Rbar", norm),
+                (np.any(forward_bad | reverse_bad, axis=1), "componentwise zero sets of R and Rbar differ", norm),
+            ]
+        forms.append(("Rbar", scaled_worst, (time.perf_counter() - start) * ms_per_point))
+
+        for name in delta_names:
+            start = time.perf_counter()
+            g_norm = np.max(np.abs(delta_residual(inst, stack, DELTA_CATALOG[name])), axis=1)
+            forms.append((f"G:{name}", g_norm, (time.perf_counter() - start) * ms_per_point))
+            # Zero-set agreement: an exact zero of R forces an exact zero of G;
+            # the converse holds up to the evaluation roundoff of G (its three
+            # delta calls can absorb a sub-ulp complementarity violation).
+            checks += [
+                (at_solution & (g_norm > DELTA_SOLUTION_TOL), f"delta residual ({name}) {{:.3e}} too large", g_norm),
+                (natural_zero & (0.0 < g_norm) & (g_norm < math.inf),
+                 f"R is exactly zero but G:{name} is not", g_norm),
+                ((g_norm == 0.0) & above_roundoff, f"G:{name} is exactly zero but |R| = {{:.3e}}", norm),
+            ]
+
+        first = len(rows)
+        for k, (source, _, iters) in enumerate(points):
+            label = f"{unit.instance_id}/{source}"
+            failures += [f"{label}: {text.format(value[k])}" for fails, text, value in checks if fails[k]]
+            rows += [
+                ResultRow(unit.instance_id, inst.n, formulation, source, float(norms[k]), bool(solution[k]), iters, ms)
+                for formulation, norms, ms in forms
+            ]
+        # nan fails none of the comparisons above, and inf not all of them.
+        failures += [
+            f"{row.instance_id}/{row.point_source}: {row.formulation} residual is not finite"
+            for row in rows[first:]
+            if not math.isfinite(row.residual_inf)
+        ]
     return rows, failures
 
 
@@ -306,8 +275,10 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     delta_names = [name.strip() for name in args.deltas.split(",") if name.strip()]
     unknown = [name for name in delta_names if name not in DELTA_CATALOG]
-    if unknown or not delta_names:
-        problem = f"unknown delta functions {unknown}" if unknown else "no delta function given"
+    repeated = [name for name in dict.fromkeys(delta_names) if delta_names.count(name) > 1]
+    if unknown or repeated or not delta_names:
+        problem = (f"unknown delta functions {unknown}" if unknown
+                   else f"repeated delta functions {repeated}" if repeated else "no delta function given")
         raise ValueError(f"--deltas: {problem}; choose from {', '.join(DELTA_CATALOG)}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")

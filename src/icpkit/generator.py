@@ -17,6 +17,7 @@ bit-identical instances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,14 @@ class GeneratorSpec:
     active_fraction: float = 0.5
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        for name in ("n", "seed"):
+            try:  # operator.index accepts Python and numpy integers, but no float
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.matrix_family not in MATRIX_FAMILIES:
             raise ValueError(f"unknown matrix family {self.matrix_family!r}")
@@ -56,8 +62,6 @@ class GeneratorSpec:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not (0.0 <= float(self.active_fraction) <= 1.0):
             raise ValueError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "active_fraction", float(self.active_fraction))
 

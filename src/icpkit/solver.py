@@ -18,6 +18,7 @@ reportable status instead of an exception.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < float(self.relaxation) <= 2.0):
             raise ValueError(f"relaxation must lie in (0, 2], got {self.relaxation}")
-        if int(self.max_iters) < 1:
+        try:  # operator.index accepts Python and numpy integers, but no float
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (0.0 < float(self.resid_tol) < np.inf):
             raise ValueError(f"resid_tol must be finite and > 0, got {self.resid_tol}")
         object.__setattr__(self, "relaxation", float(self.relaxation))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "resid_tol", float(self.resid_tol))
 
 

@@ -281,6 +281,29 @@ def test_verify_flags_corrupted_planted(tmp_path):
     assert rc == 1
 
 
+def test_verify_reports_the_failures_of_a_point_in_check_order(tmp_path, capsys):
+    # Every entry of the planted point is off by 0.5, so the point fails each
+    # check on a solution: first R, then each scaling pair, then each delta.
+    path = tmp_path / "bad.json"
+    assert main(["gen", "--n", "4", "--seed", "5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["planted"] = [x + 0.5 for x in doc["planted"]]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out-path", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL bad/planted: expected a solution, is_solution is false",
+        "FAIL bad/planted: |R| = 9.700e-01 exceeds 1.0e-10",
+        "FAIL bad/planted: scaled residual 4.360e+02 too large",
+        "FAIL bad/planted: scaled residual 4.922e+02 too large",
+        "FAIL bad/planted: scaled residual 2.536e+02 too large",
+        "FAIL bad/planted: delta residual (identity) 1.940e+00 too large",
+        "FAIL bad/planted: delta residual (cubic) 1.009e+01 too large",
+        "FAIL bad/planted: delta residual (tanh) 1.295e+00 too large",
+        "FAIL bad/planted: delta residual (asinh) 1.616e+00 too large",
+        "9 equivalence check(s) failed",
+    ]
+
+
 # A = I, b = -1, f = 0 has the one solution (1, 1), where R, Rbar and G are
 # exactly 0.  The points are planted and oracle (1, 1), then the perturbed
 # (1 + 1e-6, 1), (1, 1.01) and (1.5, 1), where R = (0.5, 0) and G = (-1, 0).
@@ -626,6 +649,16 @@ def test_verify_without_delta_functions_is_named(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["verify", "--gen", "1", "--deltas", ",", "--out-path", str(out)]) == 2
     assert capsys.readouterr().err == "error: --deltas: no delta function given; choose from identity, cubic, tanh, asinh\n"
+    assert not out.exists()
+
+
+def test_verify_rejects_a_repeated_delta_function(tmp_path, capsys):
+    # Each delta function gives one G row per point; a repeated one would write its rows twice.
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--gen", "1", "--deltas", "identity,cubic,identity", "--out-path", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --deltas: repeated delta functions ['identity']; choose from identity, cubic, tanh, asinh\n"
+    )
     assert not out.exists()
 
 

@@ -136,3 +136,18 @@ def test_spec_validation():
         GeneratorSpec(n=4, seed=1, active_fraction=1.5)
     with pytest.raises(ValueError):
         GeneratorSpec(n=0, seed=1, matrix_family="dense")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 2.9), ("n", 3.0), ("n", np.float64(3.0)), ("n", "3"), ("seed", 1.5), ("seed", np.float32(1.0))]
+)
+def test_spec_rejects_a_count_that_is_not_an_integer(field, value):
+    # int() would truncate 2.9 to 2 and quietly build another instance.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        GeneratorSpec(**{"n": 3, "seed": 1, field: value})
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+def test_spec_takes_python_and_numpy_integers(value):
+    spec = GeneratorSpec(n=value, seed=value)
+    assert (spec.n, spec.seed) == (3, 3) and type(spec.n) is int and type(spec.seed) is int

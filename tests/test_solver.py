@@ -138,6 +138,19 @@ def test_solver_config_validation():
         SolverConfig(omega=omega, resid_tol=0.0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3"])
+def test_solver_config_rejects_an_iteration_cap_that_is_not_an_integer(value):
+    # int() would truncate 2.5 to 2 and quietly stop one iteration early.
+    with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
+        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint16(3)])
+def test_solver_config_takes_python_and_numpy_integers(value):
+    cfg = SolverConfig(omega=DiagonalScaling.identity(1), max_iters=value)
+    assert cfg.max_iters == 3 and type(cfg.max_iters) is int
+
+
 def test_dimension_checks():
     inst = IcpInstance(A=np.eye(2), b=np.zeros(2))
     with pytest.raises(ValueError):
