@@ -37,7 +37,7 @@ import numpy as np
 from .core import IcpInstance, ToleranceConfig, evaluate_F, evaluate_H, is_solution
 from .formats import LoadedInstance, ResultRow, json_float, load_instance, save_instance, write_rows
 from .generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, RNG_STREAM_ID, generate_planted
-from .linalg import DiagonalScaling
+from .linalg import DiagonalScaling, as_real
 from .oracle import enumerate_solutions
 from .residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from .solver import SolveStatus, SolverConfig, default_scaling, projection_iterate
@@ -236,7 +236,7 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"--omega must be 'jacobi', 'identity' or a positive number, got {raw!r}")
-    return DiagonalScaling.uniform(value, inst.n)
+    return DiagonalScaling(np.full(inst.n, value))
 
 
 def cmd_solve(args) -> int:
@@ -280,8 +280,7 @@ def cmd_verify(args) -> int:
         problem = (f"unknown delta functions {unknown}" if unknown
                    else f"repeated delta functions {repeated}" if repeated else "no delta function given")
         raise ValueError(f"--deltas: {problem}; choose from {', '.join(DELTA_CATALOG)}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    as_real(args.tol, "--tol", "be finite and >= 0", lambda v: 0.0 <= v < math.inf)
 
     units = [load_instance(path) for path in args.paths]
     if args.gen:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_real, as_vector
 
 
 class ImplicitMap:
@@ -27,8 +27,6 @@ class ImplicitMap:
     affine, else None; the enumeration oracle only supports affine maps.
     """
 
-    tag = "abstract"
-
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -39,8 +37,6 @@ class ImplicitMap:
 @dataclass(frozen=True)
 class ZeroMap(ImplicitMap):
     """f(r) = 0 for all r; reduces the instance to an LCP."""
-
-    tag = "zero"
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(r, dtype=float))
@@ -55,7 +51,6 @@ class AffineMap(ImplicitMap):
 
     C: np.ndarray
     d: np.ndarray
-    tag = "affine"
 
     def __post_init__(self):
         c = as_matrix(self.C, name="affine map matrix")
@@ -93,9 +88,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("feas_tol", "comp_tol"):
-            value = float(getattr(self, name))
-            if not (value >= 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            value = as_real(getattr(self, name), name, "be finite and >= 0", lambda v: 0.0 <= v < np.inf)
             object.__setattr__(self, name, value)
 
 

@@ -110,7 +110,7 @@ def save_instance(
     elif isinstance(inst.f, ZeroMap):
         doc["f"] = {"type": "zero"}
     else:
-        raise ValueError(f"implicit map {inst.f.tag!r} has no file representation")
+        raise ValueError(f"implicit map {type(inst.f).__name__} has no file representation")
     if planted is not None:
         doc["planted"] = np.asarray(planted, dtype=float).tolist()
     if seed is not None:

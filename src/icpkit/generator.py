@@ -17,12 +17,12 @@ bit-identical instances.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AffineMap, IcpInstance, ImplicitMap, ZeroMap
+from .linalg import as_count, as_real
 
 MATRIX_FAMILIES = ("diag_dominant", "symmetric_pd", "dense")
 F_FAMILIES = ("zero", "contractive_affine")
@@ -45,25 +45,15 @@ class GeneratorSpec:
     active_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in ("n", "seed"):
-            try:  # operator.index accepts Python and numpy integers, but no float
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "n", as_count(self.n, "n", 1))
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         if self.matrix_family not in MATRIX_FAMILIES:
             raise ValueError(f"unknown matrix family {self.matrix_family!r}")
         if self.f_family not in F_FAMILIES:
             raise ValueError(f"unknown f family {self.f_family!r}")
-        if not (0.0 <= float(self.gamma) < 1.0):
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not (0.0 <= float(self.active_fraction) <= 1.0):
-            raise ValueError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "active_fraction", float(self.active_fraction))
+        object.__setattr__(self, "gamma", as_real(self.gamma, "gamma", "lie in [0, 1)", lambda v: 0.0 <= v < 1.0))
+        fraction = as_real(self.active_fraction, "active_fraction", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        object.__setattr__(self, "active_fraction", fraction)
 
 
 def _uniform_open_low(rng: np.random.Generator, low: float, high: float, n: int) -> np.ndarray:

@@ -2,22 +2,42 @@
 
 Vectors and square matrices are plain float64 numpy arrays, validated at the
 boundary (finite entries, length >= 1, squareness) and marked read-only so
-instances can be shared freely between threads.  The linear solver is Gauss
-elimination with partial pivoting over a batch of systems, because the
-enumeration oracle needs to solve thousands of small systems at once.  The
-batch is stored batch-last, each matrix augmented with its right-hand side as
-one more column, so that one elimination step is one contiguous update across
-it, and back-substitution reads that layout in place.
+instances can be shared freely between threads; the numeric fields of config
+objects are checked here too.  The linear solver is Gauss elimination with
+partial pivoting over a batch of systems, because the enumeration oracle needs
+to solve thousands of small systems at once.  The batch is stored batch-last,
+each matrix augmented with its right-hand side as one more column, so that one
+elimination step is one contiguous update across it, and back-substitution
+reads that layout in place.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # A pivot below this fraction of the matrix scale is treated as singular.
 PIVOT_REL_TOL = 1e-12
+
+
+def as_real(value, name: str, rule: str, ok) -> float:
+    """value as a float if it is a real number, not a bool, for which ok holds, else a "<name> must <rule>" error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not ok(float(value)):
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return float(value)
+
+
+def as_count(value, name: str, low: int) -> int:
+    """value as an int if it is an integer, not a bool, of at least low, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -121,7 +141,3 @@ class DiagonalScaling:
     @classmethod
     def identity(cls, n: int) -> "DiagonalScaling":
         return cls(np.ones(n))
-
-    @classmethod
-    def uniform(cls, value: float, n: int) -> "DiagonalScaling":
-        return cls(np.full(n, float(value)))

@@ -18,13 +18,12 @@ reportable status instead of an exception.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import IcpInstance
-from .linalg import DiagonalScaling
+from .linalg import DiagonalScaling, as_count, as_real
 from .residuals import natural_residual
 
 DIVERGENCE_LIMIT = 1e12
@@ -46,18 +45,11 @@ class SolverConfig:
     resid_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < float(self.relaxation) <= 2.0):
-            raise ValueError(f"relaxation must lie in (0, 2], got {self.relaxation}")
-        try:  # operator.index accepts Python and numpy integers, but no float
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (0.0 < float(self.resid_tol) < np.inf):
-            raise ValueError(f"resid_tol must be finite and > 0, got {self.resid_tol}")
-        object.__setattr__(self, "relaxation", float(self.relaxation))
-        object.__setattr__(self, "resid_tol", float(self.resid_tol))
+        relaxation = as_real(self.relaxation, "relaxation", "lie in (0, 2]", lambda v: 0.0 < v <= 2.0)
+        object.__setattr__(self, "relaxation", relaxation)
+        object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters", 1))
+        resid_tol = as_real(self.resid_tol, "resid_tol", "be finite and > 0", lambda v: 0.0 < v < np.inf)
+        object.__setattr__(self, "resid_tol", resid_tol)
 
 
 @dataclass

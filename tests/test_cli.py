@@ -12,10 +12,12 @@ import pytest
 
 import icpkit.cli as cli
 from icpkit.cli import _collect_points, _draw_scalings, build_parser, main, run_verification
-from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
+from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, ZeroMap, is_solution
 from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
+from icpkit.linalg import DiagonalScaling
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
+from icpkit.solver import SolverConfig, projection_iterate
 
 
 def gen_args(path, seed=7, n=4, f_family="contractive_affine", active=0.5):
@@ -230,6 +232,19 @@ def test_save_instance_writes_the_pinned_text(tmp_path):
     save_instance(str(zero), IcpInstance(A=np.eye(1), b=np.zeros(1), f=ZeroMap()))
     assert json.loads(zero.read_text()) == {"n": 1, "A": [1.0], "b": [0.0], "f": {"type": "zero"}}
 
+
+
+class TanhMap(ImplicitMap):
+    def evaluate(self, r):
+        return np.tanh(r)
+
+
+def test_save_instance_names_a_map_it_cannot_write(tmp_path):
+    path = tmp_path / "tanh.json"
+    with pytest.raises(ValueError) as exc:
+        save_instance(str(path), IcpInstance(A=np.eye(2), b=np.zeros(2), f=TanhMap()))
+    assert str(exc.value) == "implicit map TanhMap has no file representation"
+    assert not path.exists()
 
 def test_verify_passes_on_sound_corpus(tmp_path):
     paths = []
@@ -536,6 +551,19 @@ def test_solve_command(tmp_path, capsys):
     assert report["iterations"] == 1
     assert report["final_point"] == [1.0]
     assert report["residual_history"] == [1.0, 0.0]
+
+
+def test_solve_with_a_numeric_omega_scales_every_step_by_it(tmp_path, capsys):
+    p = tmp_path / "inst.json"
+    assert main(["gen", "--n", "4", "--seed", "1", "--out", str(p)]) == 0
+    rc = main(["solve", str(p), "--omega", "0.5"])
+    report = json.loads(capsys.readouterr().out)
+    cfg = SolverConfig(omega=DiagonalScaling(np.full(4, 0.5)))
+    expected = projection_iterate(load_instance(str(p)).instance, np.zeros(4), cfg)
+    assert rc == 0
+    assert report["status"] == "converged"
+    assert report["iterations"] == expected.iterations == 32
+    assert report["residual_history"] == expected.residual_history
 
 
 def test_solve_generated_instance_converges(tmp_path, capsys):

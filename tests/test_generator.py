@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ def test_zero_family_plants_are_exact():
     assert np.all(natural_residual(inst, planted) == 0.0)
     assert all(planted[i] == 0.0 for i in active)
 
+
+
+def test_contractive_affine_with_gamma_zero_draws_as_any_gamma():
+    # The raw C entries are drawn whatever gamma is, so every later draw is the same.
+    spec = GeneratorSpec(n=5, seed=3, f_family="contractive_affine", gamma=0.0)
+    inst, planted, active = generate_planted(spec)
+    ref_inst, ref_planted, ref_active = generate_planted(replace(spec, gamma=0.5))
+    assert np.all(inst.f.C == 0.0) and not np.any(np.signbit(inst.f.C))
+    assert is_solution(inst, planted)
+    assert np.array_equal(inst.A, ref_inst.A) and np.array_equal(inst.b, ref_inst.b)
+    assert np.array_equal(planted, ref_planted) and active == ref_active
 
 def test_active_fraction_zero_solves_linear_system():
     # Empty active set: H(r*) > 0 everywhere and F(r*) = 0, i.e. A r* = -b.

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from icpkit.linalg import PIVOT_REL_TOL, DiagonalScaling, solve_linear_batch
+from icpkit.core import AffineMap, IcpInstance, ToleranceConfig
+from icpkit.generator import GeneratorSpec
+from icpkit.linalg import PIVOT_REL_TOL, DiagonalScaling, as_matrix, as_vector, solve_linear_batch
+from icpkit.oracle import certify
+from icpkit.solver import SolverConfig
 from support import diag_dominant, reference_solve_linear_batch
 
 
@@ -156,6 +160,67 @@ def test_diagonal_scaling_apply():
     omega = DiagonalScaling(np.array([2.0, 3.0]))
     assert np.array_equal(omega.apply(np.array([1.0, -1.0])), [2.0, -3.0])
     assert np.array_equal(DiagonalScaling.identity(3).diag, np.ones(3))
-    assert np.array_equal(DiagonalScaling.uniform(0.25, 2).diag, [0.25, 0.25])
     with pytest.raises(ValueError):
         omega.apply(np.ones(3))
+
+
+SQUARE_MAP = AffineMap(np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_vector(np.ones((2, 2))), "vector must be one-dimensional, got shape (2, 2)"),
+        (lambda: as_vector([]), "vector must have at least one entry"),
+        (lambda: as_matrix(np.ones((2, 3))), "matrix must be square, got shape (2, 3)"),
+        (lambda: as_matrix(np.ones((0, 0))), "matrix must have at least one row"),
+        (lambda: solve_linear_batch(np.ones((1, 2, 3)), np.ones((1, 2))),
+         "expected a (m, n, n) matrix batch, got shape (1, 2, 3)"),
+        (lambda: solve_linear_batch(np.ones((1, 2, 2)), np.ones((1, 3))),
+         "rhs shape (1, 3) does not match matrix batch (1, 2, 2)"),
+        (lambda: SQUARE_MAP.evaluate(np.zeros(3)), "dimension mismatch: map dim 2, point (3,)"),
+        (lambda: SQUARE_MAP.affine_parts(3), "dimension mismatch: map dim 2, requested 3"),
+        (lambda: certify(IcpInstance(A=np.eye(2), b=np.zeros(2)), np.zeros((1, 2))),
+         "dimension mismatch: instance dim 2, point shape (1, 2)"),
+    ],
+)
+def test_shape_rejections_name_the_shape(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+CONFIG_BASE = {
+    GeneratorSpec: {"n": 3, "seed": 1},
+    SolverConfig: {"omega": DiagonalScaling([1.0])},
+    ToleranceConfig: {},
+}
+
+
+@pytest.mark.parametrize(
+    "config, field, value, message",
+    [
+        (GeneratorSpec, "n", True, "n must be an integer, got True"),
+        (GeneratorSpec, "seed", False, "seed must be an integer, got False"),
+        (GeneratorSpec, "gamma", "0.3", "gamma must be a real number, got '0.3'"),
+        (GeneratorSpec, "active_fraction", True, "active_fraction must be a real number, got True"),
+        (SolverConfig, "relaxation", "1.5", "relaxation must be a real number, got '1.5'"),
+        (SolverConfig, "max_iters", True, "max_iters must be an integer, got True"),
+        (SolverConfig, "resid_tol", None, "resid_tol must be a real number, got None"),
+        (ToleranceConfig, "feas_tol", "1e-3", "feas_tol must be a real number, got '1e-3'"),
+        (ToleranceConfig, "comp_tol", True, "comp_tol must be a real number, got True"),
+    ],
+)
+def test_config_fields_reject_bools_and_strings(config, field, value, message):
+    with pytest.raises(ValueError) as exc:
+        config(**{**CONFIG_BASE[config], field: value})
+    assert str(exc.value) == message
+
+
+def test_config_reals_take_python_and_numpy_numbers():
+    spec = GeneratorSpec(n=3, seed=1, gamma=np.float32(0.5), active_fraction=1)
+    cfg = SolverConfig(omega=DiagonalScaling([1.0]), relaxation=np.int64(2), resid_tol=np.float32(0.25))
+    tol = ToleranceConfig(feas_tol=0, comp_tol=np.float64(1e-3))
+    values = [spec.gamma, spec.active_fraction, cfg.relaxation, cfg.resid_tol, tol.feas_tol, tol.comp_tol]
+    assert values == [0.5, 1.0, 2.0, 0.25, 0.0, 1e-3]
+    assert all(type(value) is float for value in values)
