@@ -9,9 +9,10 @@ the first call.  Subcommands and exit codes:
 * ``verify``  residual-equivalence campaign over files (0 pass, 1 failures)
 
 Every subcommand exits 2 with one ``error:`` line on bad input (a malformed
-file or spec, a bad flag value, n beyond the oracle's cap), on an I/O error
-such as a full disk, or when out of memory; ``main`` alone makes that exit,
-for any ValueError, so a defect that raises one exits 2 without a traceback.
+file or spec, a flag value out of range, n beyond the oracle's cap), an I/O
+error such as a full disk, or lack of memory; ``main`` alone makes that exit,
+for any ValueError, so a defect raising one exits 2 without a traceback.  Text
+argparse cannot convert or match (``--n abc``) exits 2 with argparse's usage.
 Instance files and result rows are read and written by ``icpkit.formats``.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
@@ -37,7 +38,7 @@ import numpy as np
 from .core import IcpInstance, ToleranceConfig, evaluate_F, evaluate_H, is_solution
 from .formats import LoadedInstance, ResultRow, json_float, load_instance, save_instance, write_rows
 from .generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, RNG_STREAM_ID, generate_planted
-from .linalg import DiagonalScaling, as_real
+from .linalg import DiagonalScaling, as_count, as_real
 from .oracle import enumerate_solutions
 from .residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from .solver import SolveStatus, SolverConfig, default_scaling, projection_iterate
@@ -231,12 +232,9 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
     if raw == "identity":
         return DiagonalScaling.identity(inst.n)
     try:
-        value = float(raw)
+        return DiagonalScaling(np.full(inst.n, float(raw)))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"--omega must be 'jacobi', 'identity' or a positive number, got {raw!r}")
-    return DiagonalScaling(np.full(inst.n, value))
+        raise ValueError(f"--omega must be 'jacobi', 'identity' or a positive number, got {raw!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -273,6 +271,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    as_count(args.gen, "--gen", 0)
+    as_count(args.scalings, "--scalings", 1)
     delta_names = [name.strip() for name in args.deltas.split(",") if name.strip()]
     unknown = [name for name in delta_names if name not in DELTA_CATALOG]
     repeated = [name for name in dict.fromkeys(delta_names) if delta_names.count(name) > 1]
@@ -321,16 +321,6 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--active-fraction", type=float, default=0.5)
 
 
-def _int_at_least(low: int):
-    def count(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return count
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -359,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the residual-equivalence campaign")
     p_verify.add_argument("paths", nargs="*", help="instance files")
-    p_verify.add_argument("--gen", type=_int_at_least(0), default=0, metavar="COUNT", help="also verify COUNT generated instances")
+    p_verify.add_argument("--gen", type=int, default=0, metavar="COUNT", help="also verify COUNT generated instances")
     _add_spec_flags(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-10, help="solution-point residual tolerance")
     p_verify.add_argument("--deltas", default="identity,cubic,tanh,asinh")
-    p_verify.add_argument("--scalings", type=_int_at_least(1), default=3, help="random scaling pairs per instance")
+    p_verify.add_argument("--scalings", type=int, default=3, help="random scaling pairs per instance")
     p_verify.add_argument("--solver", action="store_true", help="also report the solver end point")
     p_verify.add_argument("--out", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--out-path", default="-", help="output file, '-' for stdout")
@@ -398,7 +388,3 @@ def main(argv=None) -> int:
     with open(os.devnull, "w") as devnull:
         os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,31 +4,40 @@ Vectors and square matrices are plain float64 numpy arrays, validated at the
 boundary (finite entries, length >= 1, squareness) and marked read-only so
 instances can be shared freely between threads; the numeric fields of config
 objects are checked here too.  The linear solver is Gauss elimination with
-partial pivoting over a batch of systems, because the enumeration oracle needs
-to solve thousands of small systems at once.  The batch is stored batch-last,
-each matrix augmented with its right-hand side as one more column, so that one
-elimination step is one contiguous update across it, and back-substitution
-reads that layout in place.
+partial pivoting over a batch of systems.  Every enumeration-oracle call
+solves one batch for the P = (I - C)^-1 of its reduction; the subsystems of
+index sets are solved here only on the oracle's full path, for the sets that
+the pivot tree finds unstable, or for all of them when the reduction fails.
+The batch is stored batch-last, each matrix augmented with its right-hand side
+as one more column, so that one elimination step is one contiguous update
+across it, and back-substitution reads that layout in place.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # A pivot below this fraction of the matrix scale is treated as singular.
 PIVOT_REL_TOL = 1e-12
+# Shown in place of an integer beyond the float range, which may be too long to print.
+_HUGE = "an integer too large for a float"
 
 
 def as_real(value, name: str, rule: str, ok) -> float:
     """value as a float if it is a real number, not a bool, for which ok holds, else a "<name> must <rule>" error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not ok(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must {rule}, got {_HUGE}") from None
+    if not ok(number):
         raise ValueError(f"{name} must {rule}, got {value}")
-    return float(value)
+    return number
 
 
 def as_count(value, name: str, low: int) -> int:
@@ -36,7 +45,8 @@ def as_count(value, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        shown = value if abs(value) <= sys.float_info.max else _HUGE
+        raise ValueError(f"{name} must be >= {low}, got {shown}")
     return int(value)
 
 

@@ -13,9 +13,10 @@ import pytest
 import icpkit.cli as cli
 from icpkit.cli import _collect_points, _draw_scalings, build_parser, main, run_verification
 from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, ZeroMap, is_solution
-from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance
+from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance, write_rows
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
+from icpkit.oracle import enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from icpkit.solver import SolverConfig, projection_iterate
 
@@ -246,6 +247,21 @@ def test_save_instance_names_a_map_it_cannot_write(tmp_path):
     assert str(exc.value) == "implicit map TanhMap has no file representation"
     assert not path.exists()
 
+
+def test_oracle_rejects_a_map_that_is_not_affine():
+    with pytest.raises(ValueError) as exc:
+        enumerate_solutions(IcpInstance(A=np.eye(2), b=np.zeros(2), f=TanhMap()))
+    assert str(exc.value) == "oracle enumeration requires a zero or affine implicit map"
+
+
+def test_write_rows_rejects_an_unknown_format_before_opening_the_file(tmp_path):
+    path = tmp_path / "rows.xml"
+    with pytest.raises(ValueError) as exc:
+        write_rows([], "xml", str(path))
+    assert str(exc.value) == "unknown output format 'xml'"
+    assert not path.exists()
+
+
 def test_verify_passes_on_sound_corpus(tmp_path):
     paths = []
     for seed in (1, 2, 3):
@@ -389,7 +405,7 @@ def test_verify_rejects_invalid_tolerance(tol, capsys):
 def test_verify_rejects_scalings_below_one(count, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["verify", "--gen", "1", "--scalings", count, "--out-path", str(out)]) == 2
-    assert "--scalings" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --scalings must be >= 1, got {count}\n"
     assert not out.exists()
 
 
@@ -398,7 +414,7 @@ def test_verify_rejects_negative_gen_count(tmp_path, capsys):
     assert main(gen_args(p)) == 0
     out = tmp_path / "rows.csv"
     assert main(["verify", str(p), "--gen", "-2", "--out-path", str(out)]) == 2
-    assert "--gen" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --gen must be >= 0, got -2\n"
     assert not out.exists()
 
 
@@ -526,7 +542,7 @@ def test_parse_error_between_calls_changes_nothing(tmp_path, capsys):
     assert main(gen_args(p, seed=22)) == 0
     before, after = tmp_path / "before.csv", tmp_path / "after.csv"
     assert main(["verify", str(p), "--out-path", str(before)]) == 0
-    assert main(["verify", "--scalings", "0"]) == 2
+    assert main(["verify", "--scalings", "x"]) == 2
     assert "--scalings" in capsys.readouterr().err
     assert main(["verify", str(p), "--out-path", str(after)]) == 0
     assert rows_without_wall_ms(after) == rows_without_wall_ms(before)
@@ -648,6 +664,8 @@ def test_solve_bad_inputs(tmp_path):
         ("--omega", "abc", "--omega must be 'jacobi', 'identity' or a positive number, got 'abc'"),
         ("--omega", "-1", "--omega must be 'jacobi', 'identity' or a positive number, got '-1'"),
         ("--omega", "nan", "--omega must be 'jacobi', 'identity' or a positive number, got 'nan'"),
+        ("--omega", "0", "--omega must be 'jacobi', 'identity' or a positive number, got '0'"),
+        ("--omega", "inf", "--omega must be 'jacobi', 'identity' or a positive number, got 'inf'"),
         ("--start", "1,2,x", "--start must be 'zero' or 2 comma-separated finite numbers, got '1,2,x'"),
         ("--start", "1,2,3", "--start must be 'zero' or 2 comma-separated finite numbers, got '1,2,3'"),
     ],
@@ -659,6 +677,15 @@ def test_solve_names_a_bad_flag_value(flag, value, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_solve_takes_a_subnormal_omega(tmp_path, capsys):
+    p = tmp_path / "ok.json"
+    save_instance(str(p), IcpInstance(A=np.eye(2), b=-np.ones(2)))
+    assert main(["solve", str(p), "--omega", "1e-320", "--max-iters", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["status"] == "max_iters_reached"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -217,6 +217,22 @@ def test_config_fields_reject_bools_and_strings(config, field, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "config, field, value, message",
+    [
+        (GeneratorSpec, "gamma", 10**400, "gamma must lie in [0, 1), got an integer too large for a float"),
+        (ToleranceConfig, "feas_tol", 10**400, "feas_tol must be finite and >= 0, got an integer too large for a float"),
+        (SolverConfig, "resid_tol", 10**400, "resid_tol must be finite and > 0, got an integer too large for a float"),
+        (SolverConfig, "max_iters", -(10**5000), "max_iters must be >= 1, got an integer too large for a float"),
+    ],
+    ids=["gamma", "feas_tol", "resid_tol", "max_iters"],  # the default ids would print the integers
+)
+def test_config_fields_name_an_integer_beyond_the_float_range(config, field, value, message):
+    with pytest.raises(ValueError) as exc:
+        config(**{**CONFIG_BASE[config], field: value})
+    assert str(exc.value) == message
+
+
 def test_config_reals_take_python_and_numpy_numbers():
     spec = GeneratorSpec(n=3, seed=1, gamma=np.float32(0.5), active_fraction=1)
     cfg = SolverConfig(omega=DiagonalScaling([1.0]), relaxation=np.int64(2), resid_tol=np.float32(0.25))

@@ -184,6 +184,10 @@ def test_delta_function_rejects_bad_functions():
         DeltaFunction("decreasing", lambda t: -t)
     with pytest.raises(ValueError):
         DeltaFunction("flat", lambda t: t * 0.0)
+    with pytest.raises(ValueError, match="must map the test grid to finite reals"):
+        DeltaFunction("overflowing", lambda t: np.where(t > 5.0, np.inf, t))
+    with pytest.raises(ValueError, match="must map the test grid to finite reals"):
+        DeltaFunction("scalar", lambda t: np.sum(t) * 0.0)
 
 
 @pytest.mark.parametrize("name", list(DELTA_CATALOG))
