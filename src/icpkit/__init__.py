@@ -20,7 +20,6 @@ from .residuals import (
     DeltaFunction,
     delta_residual,
     natural_residual,
-    s_map,
     scaled_residual,
 )
 from .solver import (
@@ -57,7 +56,6 @@ __all__ = [
     "is_solution",
     "natural_residual",
     "projection_iterate",
-    "s_map",
     "scaled_residual",
 ]
 __version__ = "0.1.0"

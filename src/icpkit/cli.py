@@ -9,10 +9,11 @@ the first call.  Subcommands and exit codes:
 * ``verify``  residual-equivalence campaign over files (0 pass, 1 failures)
 
 Every subcommand exits 2 with one ``error:`` line on bad input (a malformed
-file or spec, a flag value out of range, n beyond the oracle's cap), an I/O
-error such as a full disk, or lack of memory; ``main`` alone makes that exit,
-for any ValueError, so a defect raising one exits 2 without a traceback.  Text
-argparse cannot convert or match (``--n abc``) exits 2 with argparse's usage.
+file or spec, a flag value out of range, and for ``oracle`` n beyond its cap),
+an I/O error such as a full disk, or lack of memory; ``main`` alone makes that
+exit, for any ValueError, so a defect raising one exits 2 without a traceback.
+Text argparse cannot convert or match (``--n abc``) exits 2 with argparse's
+usage.
 Instance files and result rows are read and written by ``icpkit.formats``.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
@@ -250,7 +251,7 @@ def cmd_solve(args) -> int:
     doc = {
         "status": report.status.value,
         "iterations": report.iterations,
-        "final_residual": json_float(report.final_residual),
+        "final_residual": json_float(report.residual_history[-1]),
         "final_point": [json_float(x) for x in report.final_point],
         "residual_history": [json_float(x) for x in report.residual_history],
     }

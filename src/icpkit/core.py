@@ -60,19 +60,15 @@ class AffineMap(ImplicitMap):
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "d", d)
 
-    @property
-    def dim(self) -> int:
-        return self.d.shape[0]
-
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if r.shape[-1:] != self.d.shape:
-            raise ValueError(f"dimension mismatch: map dim {self.dim}, point {r.shape}")
+            raise ValueError(f"dimension mismatch: map dim {self.d.shape[0]}, point {r.shape}")
         return np.matmul(self.C, r[..., None])[..., 0] + self.d
 
     def affine_parts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n != self.dim:
-            raise ValueError(f"dimension mismatch: map dim {self.dim}, requested {n}")
+        if n != self.d.shape[0]:
+            raise ValueError(f"dimension mismatch: map dim {self.d.shape[0]}, requested {n}")
         return self.C, self.d
 
 
@@ -108,8 +104,8 @@ class IcpInstance:
         b = as_vector(self.b, name="b")
         if a.shape[0] != b.shape[0]:
             raise ValueError(f"dimension mismatch: A {a.shape}, b {b.shape}")
-        if isinstance(self.f, AffineMap) and self.f.dim != b.shape[0]:
-            raise ValueError(f"dimension mismatch: f dim {self.f.dim}, instance dim {b.shape[0]}")
+        if isinstance(self.f, AffineMap) and self.f.d.shape[0] != b.shape[0]:
+            raise ValueError(f"dimension mismatch: f dim {self.f.d.shape[0]}, instance dim {b.shape[0]}")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
 

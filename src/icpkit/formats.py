@@ -140,14 +140,13 @@ class ResultRow:
     def as_record(self) -> dict:
         return {**vars(self), "residual_inf": json_float(self.residual_inf)}
 
-    def as_csv_fields(self) -> tuple[str, ...]:
-        return tuple(_CSV_CELL.get(name, str)(value) for name, value in vars(self).items())
+    def as_csv_fields(self) -> tuple:
+        """Cells for csv.writer, which writes str(value), and None as an empty cell."""
+        cells = {**vars(self), "is_solution": str(self.is_solution).lower(), "wall_ms": f"{self.wall_ms:.3f}"}
+        return tuple(cells.values())
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
-# CSV text of the fields that str() does not render; the others use str().
-_CSV_CELL = {"residual_inf": repr, "is_solution": lambda flag: str(flag).lower(), "wall_ms": "{:.3f}".format,
-             "iterations": lambda k: "" if k is None else str(k)}
 
 
 def json_float(x: float):

@@ -142,12 +142,6 @@ class DiagonalScaling:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != self.diag.shape:
-            raise ValueError(f"dimension mismatch: scaling {self.diag.shape} applied to {v.shape}")
-        return self.diag * v
-
     @classmethod
     def identity(cls, n: int) -> "DiagonalScaling":
         return cls(np.ones(n))

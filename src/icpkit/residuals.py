@@ -12,9 +12,6 @@ Three equivalent reformulations of the complementarity system are provided:
   G_i = 0 exactly on the complementary sign pattern (H_i, F_i >= 0 with
   H_i F_i = 0), so the zero set again equals the solution set.
 
-The map  s_map(r) = (H(r) - F(r))_+  equals H(r) - R(r) and coincides with
-H(r) exactly at solutions.
-
 Every map takes a point (n,) or a stack (p, n); each row of a stacked result
 is bit-identical to the single-point call.
 """
@@ -76,15 +73,6 @@ def natural_residual(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
     return np.minimum(evaluate_H(inst, r), evaluate_F(inst, r))
 
 
-def s_map(inst: IcpInstance, r: np.ndarray) -> np.ndarray:
-    """(H(r) - F(r))_+, i.e. H(r) minus the natural residual.
-
-    Fixed-point reading: r solves the instance iff s_map(r) equals H(r)
-    componentwise.
-    """
-    return np.maximum(evaluate_H(inst, r) - evaluate_F(inst, r), 0.0)
-
-
 def scaled_residual(
     inst: IcpInstance,
     r: np.ndarray,
@@ -92,7 +80,9 @@ def scaled_residual(
     omega2: DiagonalScaling,
 ) -> np.ndarray:
     """min(O1_ii H_i, O2_ii F_i) per component; same zero set as natural_residual."""
-    return np.minimum(omega1.apply(evaluate_H(inst, r)), omega2.apply(evaluate_F(inst, r)))
+    if omega1.n != inst.n or omega2.n != inst.n:
+        raise ValueError(f"dimension mismatch: instance dim {inst.n}, scaling dims {omega1.n} and {omega2.n}")
+    return np.minimum(omega1.diag * evaluate_H(inst, r), omega2.diag * evaluate_F(inst, r))
 
 
 def delta_residual(inst: IcpInstance, r: np.ndarray, delta: DeltaFunction) -> np.ndarray:

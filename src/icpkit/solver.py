@@ -65,10 +65,6 @@ class SolveReport:
     residual_history: list[float]
     final_point: np.ndarray
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1]
-
 
 def default_scaling(a: np.ndarray) -> DiagonalScaling:
     """diag(1/A_ii) when every 1/A_ii is finite and positive, else the identity.

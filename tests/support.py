@@ -56,8 +56,8 @@ def scaled_residual_projection_form(
     omega2: DiagonalScaling,
 ) -> np.ndarray:
     """Literal form O1 H - (O1 H - O2 F)_+; mirror of scaled_residual."""
-    sh = omega1.apply(evaluate_H(inst, r))
-    return sh - np.maximum(sh - omega2.apply(evaluate_F(inst, r)), 0.0)
+    sh = omega1.diag * evaluate_H(inst, r)
+    return sh - np.maximum(sh - omega2.diag * evaluate_F(inst, r), 0.0)
 
 
 def reference_solve_linear_batch(mats, rhs) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +27,16 @@ def run_icpkit(*args, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONWARNINGS"] = "error"
     return subprocess.run([sys.executable, "-m", "icpkit", *args], env=env, timeout=60, **kwargs)
+
+
+def read_within(read, seconds):
+    """read() on another thread; fails if it has not returned after seconds."""
+    result = []
+    reader = threading.Thread(target=lambda: result.append(read()), daemon=True)
+    reader.start()
+    reader.join(seconds)
+    assert result, f"no read returned within {seconds} s"
+    return result[0]
 
 
 def gen_args(path, seed=7, n=4, f_family="contractive_affine", active=0.5):
@@ -492,19 +502,20 @@ def test_verify_writes_one_row_per_formulation_and_point(tmp_path):
     assert len(json.loads(json_out.read_text())) == 2 * 5 * 6
 
 
-def test_csv_fields_line_up_with_the_header():
-    row = ResultRow("i3", 3, "R", "planted", 1.5e-17, True, None, 2.25)
-    assert dict(zip(RESULT_COLUMNS, row.as_csv_fields())) == {
-        "instance_id": "i3",
-        "n": "3",
-        "formulation": "R",
-        "point_source": "planted",
-        "residual_inf": "1.5e-17",
-        "is_solution": "true",
-        "iterations": "",
-        "wall_ms": "2.250",
-    }
-    assert replace(row, is_solution=False, iterations=12).as_csv_fields()[5:7] == ("false", "12")
+def test_csv_fields_line_up_with_the_header(tmp_path):
+    out = tmp_path / "rows.csv"
+    rows = [
+        ResultRow("i3", 3, "R", "planted", 1.5e-17, True, None, 2.25),
+        ResultRow('odd,"id', 4, "Rbar", "solver", float("nan"), False, 12, 0.0625),
+        ResultRow("i3", 3, "G:cubic", "perturbed", float("inf"), False, None, 1234.5),
+    ]
+    write_rows(rows, "csv", str(out))
+    assert out.read_text() == (
+        "instance_id,n,formulation,point_source,residual_inf,is_solution,iterations,wall_ms\n"
+        "i3,3,R,planted,1.5e-17,true,,2.250\n"
+        '"odd,""id",4,Rbar,solver,nan,false,12,0.062\n'
+        "i3,3,G:cubic,perturbed,inf,false,,1234.500\n"
+    )
 
 
 def test_verify_solver_rows(tmp_path):
@@ -801,10 +812,14 @@ def test_oracle_into_a_closed_pipe_prints_no_traceback(tmp_path):
     save_instance(str(p), IcpInstance(A=-np.diag(u), b=v, f=ZeroMap()))
     cmd = [sys.executable, "-m", "icpkit", "oracle", str(p)]
     with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
-        assert proc.stdout.readline() == "{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
+        try:
+            assert read_within(proc.stdout.readline, 60) == "{\n"
+            proc.stdout.close()
+            err = read_within(proc.stderr.read, 60)
+            assert proc.wait(timeout=60) == 1
+        finally:
+            # Popen's exit waits for the child with no deadline.
+            proc.kill()
     assert "Traceback" not in err
     assert err == ""
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import icpkit
 from icpkit.core import (
     AffineMap,
     IcpInstance,
@@ -115,6 +116,13 @@ def test_exact_tolerance_agrees_with_oracle_on_rational_fixtures(seed):
     off = expected + 0.5
     assert not is_solution(inst, off, exact)
     assert not any(np.array_equal(off, s) for s in result.solutions)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in icpkit.__all__ if not hasattr(icpkit, name)] == []
+    namespace = {}
+    exec("from icpkit import *", namespace)
+    assert set(icpkit.__all__) <= namespace.keys()
 
 
 def test_dimension_checks():

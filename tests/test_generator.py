@@ -86,13 +86,15 @@ def test_plant_correctness(matrix_family, f_family, active_fraction):
         assert is_solution(inst, planted, ToleranceConfig(feas_tol=1e-13, comp_tol=1e-13))
 
 
-def test_zero_family_plants_are_exact():
-    spec = GeneratorSpec(n=9, seed=4, matrix_family="diag_dominant", f_family="zero", active_fraction=0.5)
+@pytest.mark.parametrize(("n", "seed"), [(9, 4), *((6, seed) for seed in range(10))])
+def test_zero_family_plants_are_exact(n, seed):
+    spec = GeneratorSpec(n=n, seed=seed, matrix_family="diag_dominant", f_family="zero", active_fraction=0.5)
     inst, planted, active = generate_planted(spec)
     assert isinstance(inst.f, ZeroMap)
     exact = ToleranceConfig(feas_tol=0.0, comp_tol=0.0)
     assert is_solution(inst, planted, exact)
     assert np.all(natural_residual(inst, planted) == 0.0)
+    assert np.any(natural_residual(inst, planted + 0.25) != 0.0)
     assert all(planted[i] == 0.0 for i in active)
 
 

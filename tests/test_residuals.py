@@ -11,7 +11,6 @@ from icpkit.residuals import (
     DeltaFunction,
     delta_residual,
     natural_residual,
-    s_map,
     scaled_residual,
 )
 from support import (
@@ -35,17 +34,6 @@ def test_natural_residual_examples():
     # Point realizing H = 3, F = -1: the residual picks the F side.
     inst, point = pair_instance(np.array([3.0]), np.array([-1.0]))
     assert np.array_equal(natural_residual(inst, point), [-1.0])
-
-
-def test_s_map_examples():
-    assert np.array_equal(s_map(ONE_D_ICP, ONE_D_SOLUTION), [1.0])
-    assert np.array_equal(s_map(ONE_D_ICP, ONE_D_SOLUTION), evaluate_H(ONE_D_ICP, ONE_D_SOLUTION))
-
-    balanced, point = pair_instance(np.array([0.7, -0.3]), np.array([0.7, -0.3]))
-    assert np.array_equal(s_map(balanced, point), [0.0, 0.0])
-
-    inst, point = pair_instance(np.array([0.0]), np.array([4.0]))
-    assert np.array_equal(s_map(inst, point), [0.0])
 
 
 def test_scaled_residual_examples():
@@ -113,27 +101,6 @@ def test_projection_form_mirrors_min_form(seed):
     scaled_proj = scaled_residual_projection_form(inst, r, omega1, omega2)
     sscale = 1.0 + np.abs(omega1.diag * h) + np.abs(omega2.diag * f)
     assert np.all(np.abs(scaled_proj - scaled_min) <= 1e-15 * sscale)
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_s_map_equals_h_minus_natural_residual(seed):
-    rng = np.random.default_rng(seed)
-    inst = random_instance(rng, int(rng.integers(1, 8)))
-    r = rng.uniform(-3.0, 3.0, inst.n)
-    assert np.array_equal(s_map(inst, r), evaluate_H(inst, r) - natural_residual(inst, r))
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_s_map_fixed_point_characterization(seed):
-    # Zero-family plants have exact componentwise zeros, so S(r*) = H(r*) holds
-    # bit for bit; a perturbed point must break the equality somewhere.
-    spec = GeneratorSpec(n=6, seed=seed, matrix_family="diag_dominant", f_family="zero")
-    inst, planted, _ = generate_planted(spec)
-    assert np.array_equal(s_map(inst, planted), evaluate_H(inst, planted))
-    assert np.all(natural_residual(inst, planted) == 0.0)
-
-    nudged = planted + 0.25
-    assert not np.array_equal(s_map(inst, nudged), evaluate_H(inst, nudged))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -21,7 +21,7 @@ from icpkit.core import (
     is_solution,
 )
 from icpkit.linalg import DiagonalScaling
-from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, s_map, scaled_residual
+from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 
 FIELDS = ("ok", "h", "f")
 FIELD_TYPES = (bool, np.ndarray, np.ndarray)
@@ -49,14 +49,13 @@ def _stack(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 
 def _maps(rng: np.random.Generator, n: int):
-    """name -> map(inst, r) for H, F and the four residual maps."""
+    """name -> map(inst, r) for H, F and the three residual maps."""
     omega1 = DiagonalScaling(rng.uniform(1e-3, 1e3, n))
     omega2 = DiagonalScaling(rng.uniform(1e-3, 1e3, n))
     maps = {
         "H": evaluate_H,
         "F": evaluate_F,
         "natural": natural_residual,
-        "s_map": s_map,
         "scaled": lambda inst, r: scaled_residual(inst, r, omega1, omega2),
     }
     for name, delta in DELTA_CATALOG.items():
