@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, is_solution
-from icpkit.generator import GeneratorSpec, generate_planted
+from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, ZeroMap, is_solution
+from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
 from icpkit.oracle import certify
 from icpkit.residuals import natural_residual
@@ -12,6 +12,7 @@ from icpkit.solver import (
     default_scaling,
     projection_iterate,
 )
+from support import diag_dominant, reference_projection_iterate, reference_update
 
 
 def test_one_step_lcp_example():
@@ -108,10 +109,117 @@ def test_planted_solutions_are_update_fixed_points():
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations == 0
         # One manual update must leave the solution fixed to rounding.
-        fr = inst.f.evaluate(planted)
-        step = cfg.relaxation * cfg.omega.diag
-        updated = fr + np.maximum(planted - fr - step * (inst.A @ planted + inst.b), 0.0)
+        updated = reference_update(inst, planted, cfg.relaxation * cfg.omega.diag)
         assert np.max(np.abs(updated - planted)) <= 1e-12
+
+
+def assert_same_report(got, want):
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert np.array(got.residual_history).tobytes() == np.array(want.residual_history).tobytes()
+    assert got.final_point.tobytes() == want.final_point.tobytes()
+
+
+def planted_instance(matrix_family, f_family, n, seed):
+    spec = GeneratorSpec(n=n, seed=seed, matrix_family=matrix_family, f_family=f_family, gamma=0.5)
+    return generate_planted(spec)[0]
+
+
+PLANTED_SIZES = (1, 2, 5, 8, 20, 100)
+
+
+@pytest.mark.parametrize("n", PLANTED_SIZES)
+@pytest.mark.parametrize("f_family", F_FAMILIES)
+@pytest.mark.parametrize("matrix_family", MATRIX_FAMILIES)
+def test_solver_matches_the_two_evaluation_reference(matrix_family, f_family, n):
+    for seed in range(10):
+        inst = planted_instance(matrix_family, f_family, n, seed)
+        cfg = SolverConfig(omega=default_scaling(inst.A), max_iters=2000)
+        got = projection_iterate(inst, np.zeros(n), cfg)
+        assert_same_report(got, reference_projection_iterate(inst, np.zeros(n), cfg))
+
+
+def test_reference_cases_reach_every_status():
+    # The sweep above is only a check of every path if its cases end in all
+    # three statuses.
+    statuses = set()
+    for matrix_family in MATRIX_FAMILIES:
+        for f_family in F_FAMILIES:
+            for n in PLANTED_SIZES:
+                for seed in range(10):
+                    inst = planted_instance(matrix_family, f_family, n, seed)
+                    cfg = SolverConfig(omega=default_scaling(inst.A), max_iters=2000)
+                    statuses.add(reference_projection_iterate(inst, np.zeros(n), cfg).status)
+    assert statuses == set(SolveStatus)
+
+
+def test_solver_matches_the_reference_at_n1000():
+    inst = planted_instance("diag_dominant", "contractive_affine", 1000, 3)
+    cfg = SolverConfig(omega=default_scaling(inst.A))
+    got = projection_iterate(inst, np.zeros(inst.n), cfg)
+    assert got.status is SolveStatus.CONVERGED
+    assert_same_report(got, reference_projection_iterate(inst, np.zeros(inst.n), cfg))
+
+
+AFFINE_1D = IcpInstance(A=[[2.0]], b=[-4.0], f=AffineMap([[0.5]], [0.0]))
+LCP_1D = IcpInstance(A=[[1.0]], b=[-1.0], f=ZeroMap())
+HAND_BUILT = {
+    "zero_iterations": (AFFINE_1D, [2.0], SolverConfig(omega=DiagonalScaling(np.array([0.25])))),
+    "one_step": (LCP_1D, [0.0], SolverConfig(omega=DiagonalScaling.identity(1))),
+    "cap_reached": (
+        LCP_1D,
+        [0.2],
+        SolverConfig(omega=DiagonalScaling(np.array([2.5])), max_iters=25, resid_tol=1e-14),
+    ),
+    "divergence_limit": (
+        IcpInstance(A=[[-2.0]], b=[1.0], f=ZeroMap()),
+        [10.0],
+        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=1000),
+    ),
+    "non_finite_iterate": (
+        IcpInstance(A=[[-1e300]], b=[0.0], f=ZeroMap()),
+        [1e10],
+        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=10),
+    ),
+    "affine_1d": (AFFINE_1D, [0.0], SolverConfig(omega=DiagonalScaling(np.array([0.25])), resid_tol=1e-10)),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_hand_built_cases_match_the_reference(case):
+    inst, r0, cfg = case
+    assert_same_report(projection_iterate(inst, r0, cfg), reference_projection_iterate(inst, r0, cfg))
+
+
+class CountingTanhMap(ImplicitMap):
+    """f(r) = 0.25 tanh(r) + d, counting its evaluations."""
+
+    def __init__(self, d):
+        self.d = d
+        self.calls = 0
+
+    def evaluate(self, r):
+        self.calls += 1
+        return 0.25 * np.tanh(r) + self.d
+
+
+def test_solver_on_a_non_affine_map_evaluates_it_once_per_iterate():
+    # f's Jacobian is diagonal with entries in (0, 0.25], so with a diagonally
+    # dominant A the Jacobi-scaled step is a contraction.
+    rng = np.random.default_rng(11)
+    n = 12
+    f = CountingTanhMap(rng.uniform(-1.0, 1.0, n))
+    inst = IcpInstance(A=diag_dominant(rng, n), b=rng.uniform(-2.0, 2.0, n), f=f)
+    cfg = SolverConfig(omega=default_scaling(inst.A))
+    report = projection_iterate(inst, np.zeros(n), cfg)
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations > 1
+    # One evaluation per visited iterate, and one more for the start point's
+    # natural_residual.
+    assert f.calls == report.iterations + 2
+    tol = ToleranceConfig(feas_tol=10 * cfg.resid_tol, comp_tol=10 * cfg.resid_tol)
+    assert is_solution(inst, report.final_point, tol)
+    assert_same_report(report, reference_projection_iterate(inst, np.zeros(n), cfg))
 
 
 def test_default_scaling_follows_diagonal():
