@@ -231,7 +231,7 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
     if raw == "jacobi":
         return default_scaling(inst.A)
     if raw == "identity":
-        return DiagonalScaling.identity(inst.n)
+        return DiagonalScaling(np.ones(inst.n))
     try:
         return DiagonalScaling(np.full(inst.n, float(raw)))
     except ValueError:
@@ -240,12 +240,7 @@ def _parse_omega(raw: str, inst: IcpInstance) -> DiagonalScaling:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.path).instance
-    cfg = SolverConfig(
-        omega=_parse_omega(args.omega, inst),
-        relaxation=args.relaxation,
-        max_iters=args.max_iters,
-        resid_tol=args.tol,
-    )
+    cfg = SolverConfig(omega=_parse_omega(args.omega, inst), max_iters=args.max_iters, resid_tol=args.tol)
     start = _parse_start(args.start, inst.n)
     report = projection_iterate(inst, start, cfg)
     doc = {
@@ -337,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the projection solver on an instance file")
     p_solve.add_argument("path")
-    p_solve.add_argument("--omega", default="jacobi", help="'jacobi', 'identity' or a scalar")
-    p_solve.add_argument("--relaxation", type=float, default=1.0)
+    p_solve.add_argument("--omega", default="jacobi", help="the step's positive diagonal: 'jacobi', 'identity' or a scalar")
     p_solve.add_argument("--max-iters", type=int, default=10_000)
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--start", default="zero", help="'zero' or comma-separated entries")

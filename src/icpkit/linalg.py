@@ -141,7 +141,3 @@ class DiagonalScaling:
     @property
     def n(self) -> int:
         return self.diag.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "DiagonalScaling":
-        return cls(np.ones(n))

@@ -1,18 +1,18 @@
 """Projection fixed-point solver.
 
-At a solution the pair (H, F) satisfies H = (H - w O F)_+ for any positive
-diagonal O and relaxation w > 0, so the solver iterates the Picard step
+At a solution the pair (H, F) satisfies H = (H - D F)_+ for every positive
+diagonal D, so the solver iterates the Picard step
 
-    r_next = f(r) + (r - f(r) - w * O * (A r + b))_+
+    r_next = f(r) + (r - f(r) - D (A r + b))_+
 
-whose exact fixed points are precisely the points with zero natural residual.
-For strictly diagonally dominant A with positive diagonal, O = diag(1/A_ii),
-w = 1 and an implicit term with row sums below one, the step is a contraction
-in the infinity norm (each row of the piecewise-affine update is a convex
-combination of a row of C and a row of I - O A), which is the basis of the
-seeded convergence family exercised by the test suite.  No convergence claim
-is made outside that family; the guard below converts blow-ups into a
-reportable status instead of an exception.
+whose exact fixed points are precisely the points with zero natural residual,
+whichever D it takes.  For strictly diagonally dominant A with positive
+diagonal, D = diag(1/A_ii) and an implicit term with row sums below one, the
+step is a contraction in the infinity norm (each row of the piecewise-affine
+update is a convex combination of a row of C and a row of I - D A), which is
+the basis of the seeded convergence family exercised by the test suite.  No
+convergence claim is made outside that family; the guard below converts
+blow-ups into a reportable status instead of an exception.
 
 Each iterate costs one evaluation of f and one of A r + b, which the stopping
 test min(H, F) and the step share.  The start point's stopping test also calls
@@ -42,16 +42,13 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step scaling, relaxation in (0, 2], iteration cap and stopping tolerance."""
+    """The step's positive diagonal D, iteration cap and stopping tolerance."""
 
     omega: DiagonalScaling
-    relaxation: float = 1.0
     max_iters: int = 10_000
     resid_tol: float = 1e-8
 
     def __post_init__(self):
-        relaxation = as_real(self.relaxation, "relaxation", "lie in (0, 2]", lambda v: 0.0 < v <= 2.0)
-        object.__setattr__(self, "relaxation", relaxation)
         object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters", 1))
         resid_tol = as_real(self.resid_tol, "resid_tol", "be finite and > 0", lambda v: 0.0 < v < np.inf)
         object.__setattr__(self, "resid_tol", resid_tol)
@@ -81,7 +78,7 @@ def default_scaling(a: np.ndarray) -> DiagonalScaling:
         inv = 1.0 / np.diagonal(a)
     if np.all(np.isfinite(inv) & (inv > 0.0)):
         return DiagonalScaling(inv)
-    return DiagonalScaling.identity(a.shape[0])
+    return DiagonalScaling(np.ones(a.shape[0]))
 
 
 def projection_iterate(inst: IcpInstance, r0: np.ndarray, cfg: SolverConfig) -> SolveReport:
@@ -98,7 +95,7 @@ def projection_iterate(inst: IcpInstance, r0: np.ndarray, cfg: SolverConfig) -> 
     if cfg.omega.n != inst.n:
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, omega dim {cfg.omega.n}")
 
-    step = cfg.relaxation * cfg.omega.diag
+    step = cfg.omega.diag
     history: list[float] = []
     # Overflow during a blow-up is expected and handled by the guard below.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -125,7 +125,7 @@ def reference_projection_iterate(inst: IcpInstance, r0: np.ndarray, cfg: SolverC
     residual_history bits and final point.
     """
     r = np.array(r0, dtype=float, copy=True)
-    step = cfg.relaxation * cfg.omega.diag
+    step = cfg.omega.diag
     history: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(cfg.max_iters + 1):

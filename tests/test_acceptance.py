@@ -226,9 +226,7 @@ def test_criterion_6_solver_family():
                 active_fraction=0.5,
             )
             inst, _, _ = generate_planted(spec)
-            cfg = SolverConfig(
-                omega=default_scaling(inst.A), relaxation=1.0, max_iters=10_000, resid_tol=1e-10
-            )
+            cfg = SolverConfig(omega=default_scaling(inst.A), max_iters=10_000, resid_tol=1e-10)
             report = projection_iterate(inst, np.zeros(n), cfg)
             if report.status is not SolveStatus.CONVERGED:
                 failures.append(f"{spec}: {report.status}")

@@ -636,15 +636,27 @@ def test_solve_divergent_case_exits_one(tmp_path, capsys):
 
 
 def test_solve_overrelaxed_dense_instance_exits_one(tmp_path, capsys):
-    # Dense instance where relaxation 2.0 is observed to blow up (seed 0).
+    # Dense instance where a uniform step of 2 is observed to blow up (seed 0).
     p = tmp_path / "dense.json"
     rc = main(["gen", "--n", "8", "--seed", "0", "--matrix-family", "dense",
                "--f-family", "zero", "--active-fraction", "0.5", "--out", str(p)])
     assert rc == 0
-    rc = main(["solve", str(p), "--relaxation", "2.0", "--max-iters", "500"])
+    rc = main(["solve", str(p), "--omega", "2", "--max-iters", "500"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert report["status"] in ("diverged", "max_iters_reached")
+
+
+def test_solve_has_no_relaxation_flag(tmp_path, capsys):
+    # The step is one positive diagonal, --omega; a scalar factor on top of it is not an option.
+    p = tmp_path / "inst.json"
+    assert main(["gen", "--n", "3", "--seed", "1", "--out", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(p), "--relaxation", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: icpkit ")
+    assert captured.err.endswith("icpkit: error: unrecognized arguments: --relaxation 1.0\n")
 
 
 # 1 / A_00 overflows to inf, so the default jacobi scaling is the identity.
@@ -687,7 +699,6 @@ def test_solve_bad_inputs(tmp_path):
     p = tmp_path / "ok.json"
     save_instance(str(p), IcpInstance(A=np.eye(2), b=np.zeros(2)))
     assert main(["solve", str(p), "--start", "1.0"]) == 2  # wrong length
-    assert main(["solve", str(p), "--relaxation", "3.0"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -157,10 +157,6 @@ def test_diagonal_scaling_requires_positive_entries():
         DiagonalScaling(np.array([1.0, np.nan]))
 
 
-def test_diagonal_scaling_apply():
-    assert np.array_equal(DiagonalScaling.identity(3).diag, np.ones(3))
-
-
 SQUARE_MAP = AffineMap(np.eye(2), np.zeros(2))
 
 
@@ -181,8 +177,8 @@ SQUARE_MAP = AffineMap(np.eye(2), np.zeros(2))
          "dimension mismatch: instance dim 2, point shape (1, 2)"),
         (lambda: IcpInstance(A=np.eye(2), b=np.zeros(2), f=AffineMap(np.eye(3), np.zeros(3))),
          "dimension mismatch: f dim 3, instance dim 2"),
-        (lambda: scaled_residual(IcpInstance(A=np.eye(1), b=np.zeros(1)), np.zeros(1), DiagonalScaling.identity(1),
-                                 DiagonalScaling.identity(2)),
+        (lambda: scaled_residual(IcpInstance(A=np.eye(1), b=np.zeros(1)), np.zeros(1), DiagonalScaling(np.ones(1)),
+                                 DiagonalScaling(np.ones(2))),
          "dimension mismatch: instance dim 1, scaling dims 1 and 2"),
     ],
 )
@@ -206,7 +202,6 @@ CONFIG_BASE = {
         (GeneratorSpec, "seed", False, "seed must be an integer, got False"),
         (GeneratorSpec, "gamma", "0.3", "gamma must be a real number, got '0.3'"),
         (GeneratorSpec, "active_fraction", True, "active_fraction must be a real number, got True"),
-        (SolverConfig, "relaxation", "1.5", "relaxation must be a real number, got '1.5'"),
         (SolverConfig, "max_iters", True, "max_iters must be an integer, got True"),
         (SolverConfig, "resid_tol", None, "resid_tol must be a real number, got None"),
         (ToleranceConfig, "feas_tol", "1e-3", "feas_tol must be a real number, got '1e-3'"),
@@ -237,8 +232,8 @@ def test_config_fields_name_an_integer_beyond_the_float_range(config, field, val
 
 def test_config_reals_take_python_and_numpy_numbers():
     spec = GeneratorSpec(n=3, seed=1, gamma=np.float32(0.5), active_fraction=1)
-    cfg = SolverConfig(omega=DiagonalScaling([1.0]), relaxation=np.int64(2), resid_tol=np.float32(0.25))
-    tol = ToleranceConfig(feas_tol=0, comp_tol=np.float64(1e-3))
-    values = [spec.gamma, spec.active_fraction, cfg.relaxation, cfg.resid_tol, tol.feas_tol, tol.comp_tol]
-    assert values == [0.5, 1.0, 2.0, 0.25, 0.0, 1e-3]
+    cfg = SolverConfig(omega=DiagonalScaling([1.0]), resid_tol=np.float32(0.25))
+    tol = ToleranceConfig(feas_tol=np.int64(0), comp_tol=np.float64(1e-3))
+    values = [spec.gamma, spec.active_fraction, cfg.resid_tol, tol.feas_tol, tol.comp_tol]
+    assert values == [0.5, 1.0, 0.25, 0.0, 1e-3]
     assert all(type(value) is float for value in values)

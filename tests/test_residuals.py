@@ -52,7 +52,7 @@ def test_identity_scaling_reduces_to_natural(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, int(rng.integers(1, 8)))
     r = rng.uniform(-3.0, 3.0, inst.n)
-    ident = DiagonalScaling.identity(inst.n)
+    ident = DiagonalScaling(np.ones(inst.n))
     assert np.array_equal(scaled_residual(inst, r, ident, ident), natural_residual(inst, r))
 
 
@@ -207,6 +207,6 @@ def test_dimension_mismatch_raises():
         scaled_residual(
             ONE_D_ICP,
             ONE_D_SOLUTION,
-            DiagonalScaling.identity(2),
-            DiagonalScaling.identity(2),
+            DiagonalScaling(np.ones(2)),
+            DiagonalScaling(np.ones(2)),
         )

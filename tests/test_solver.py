@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icpkit.cli import SCALING_RANGE
 from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, ZeroMap, is_solution
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
@@ -18,7 +19,7 @@ from support import diag_dominant, reference_projection_iterate, reference_updat
 def test_one_step_lcp_example():
     # r1 = (0 - (0 - 1))_+ = 1, where H = 1 and F = 0: done after one update.
     inst = IcpInstance(A=[[1.0]], b=[-1.0], f=ZeroMap())
-    cfg = SolverConfig(omega=DiagonalScaling.identity(1), relaxation=1.0)
+    cfg = SolverConfig(omega=DiagonalScaling(np.ones(1)))
     report = projection_iterate(inst, np.zeros(1), cfg)
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
@@ -28,7 +29,7 @@ def test_one_step_lcp_example():
 
 def test_one_dimensional_icp_converges_to_oracle_solution():
     inst = IcpInstance(A=[[2.0]], b=[-4.0], f=AffineMap([[0.5]], [0.0]))
-    cfg = SolverConfig(omega=DiagonalScaling(np.array([0.25])), relaxation=1.0, resid_tol=1e-10)
+    cfg = SolverConfig(omega=DiagonalScaling(np.array([0.25])), resid_tol=1e-10)
     report = projection_iterate(inst, np.zeros(1), cfg)
     assert report.status is SolveStatus.CONVERGED
     assert np.max(np.abs(natural_residual(inst, report.final_point))) <= 1e-10
@@ -49,7 +50,7 @@ def test_divergence_guard_reports_status():
     # A = [-2], b = [1]: the update is r -> (3r - 1)_+, which blows up from
     # r = 10 toward infinity and must be reported, not raised.
     inst = IcpInstance(A=[[-2.0]], b=[1.0], f=ZeroMap())
-    cfg = SolverConfig(omega=DiagonalScaling.identity(1), max_iters=1000)
+    cfg = SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=1000)
     report = projection_iterate(inst, np.array([10.0]), cfg)
     assert report.status is SolveStatus.DIVERGED
     assert len(report.residual_history) == report.iterations + 1
@@ -57,7 +58,7 @@ def test_divergence_guard_reports_status():
 
 def test_non_finite_iterate_reports_diverged():
     inst = IcpInstance(A=[[-1e300]], b=[0.0], f=ZeroMap())
-    cfg = SolverConfig(omega=DiagonalScaling.identity(1), max_iters=10)
+    cfg = SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=10)
     report = projection_iterate(inst, np.array([1e10]), cfg)
     assert report.status is SolveStatus.DIVERGED
     assert report.residual_history[-1] == float("inf")
@@ -65,9 +66,9 @@ def test_non_finite_iterate_reports_diverged():
 
 
 def test_max_iters_reached():
-    # Relaxation far too aggressive for this instance: oscillates without converging.
+    # A step of 2.5 is far too aggressive for this instance: oscillates without converging.
     inst = IcpInstance(A=[[1.0]], b=[-1.0], f=ZeroMap())
-    cfg = SolverConfig(omega=DiagonalScaling(np.array([2.5])), relaxation=1.0, max_iters=25, resid_tol=1e-14)
+    cfg = SolverConfig(omega=DiagonalScaling(np.array([2.5])), max_iters=25, resid_tol=1e-14)
     report = projection_iterate(inst, np.array([0.2]), cfg)
     assert report.status is SolveStatus.MAX_ITERS_REACHED
     assert report.iterations == 25
@@ -85,7 +86,7 @@ def test_converged_point_passes_solution_test():
             active_fraction=0.5,
         )
         inst, _, _ = generate_planted(spec)
-        cfg = SolverConfig(omega=default_scaling(inst.A), relaxation=1.0, resid_tol=1e-8)
+        cfg = SolverConfig(omega=default_scaling(inst.A), resid_tol=1e-8)
         report = projection_iterate(inst, np.zeros(inst.n), cfg)
         assert report.status is SolveStatus.CONVERGED
         assert report.residual_history[-1] <= cfg.resid_tol
@@ -93,7 +94,18 @@ def test_converged_point_passes_solution_test():
         assert is_solution(inst, report.final_point, tol)
 
 
-def test_planted_solutions_are_update_fixed_points():
+STEP_DIAGONALS = {
+    "jacobi": lambda inst, rng: default_scaling(inst.A).diag,
+    "ones": lambda inst, rng: np.ones(inst.n),
+    "drawn": lambda inst, rng: rng.uniform(*SCALING_RANGE, inst.n),
+}
+
+
+@pytest.mark.parametrize("diagonal", STEP_DIAGONALS)
+def test_planted_solutions_are_update_fixed_points(diagonal):
+    # min(H, D F) = 0 exactly on the solution set for every positive diagonal
+    # D, so a solution is a fixed point of the step whichever D it takes.
+    rng = np.random.default_rng(28)
     for seed in range(8):
         spec = GeneratorSpec(
             n=6,
@@ -104,12 +116,12 @@ def test_planted_solutions_are_update_fixed_points():
             active_fraction=0.5,
         )
         inst, planted, _ = generate_planted(spec)
-        cfg = SolverConfig(omega=default_scaling(inst.A), relaxation=1.0)
+        cfg = SolverConfig(omega=DiagonalScaling(STEP_DIAGONALS[diagonal](inst, rng)))
         report = projection_iterate(inst, planted, cfg)
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations == 0
         # One manual update must leave the solution fixed to rounding.
-        updated = reference_update(inst, planted, cfg.relaxation * cfg.omega.diag)
+        updated = reference_update(inst, planted, cfg.omega.diag)
         assert np.max(np.abs(updated - planted)) <= 1e-12
 
 
@@ -165,7 +177,7 @@ AFFINE_1D = IcpInstance(A=[[2.0]], b=[-4.0], f=AffineMap([[0.5]], [0.0]))
 LCP_1D = IcpInstance(A=[[1.0]], b=[-1.0], f=ZeroMap())
 HAND_BUILT = {
     "zero_iterations": (AFFINE_1D, [2.0], SolverConfig(omega=DiagonalScaling(np.array([0.25])))),
-    "one_step": (LCP_1D, [0.0], SolverConfig(omega=DiagonalScaling.identity(1))),
+    "one_step": (LCP_1D, [0.0], SolverConfig(omega=DiagonalScaling(np.ones(1)))),
     "cap_reached": (
         LCP_1D,
         [0.2],
@@ -174,12 +186,12 @@ HAND_BUILT = {
     "divergence_limit": (
         IcpInstance(A=[[-2.0]], b=[1.0], f=ZeroMap()),
         [10.0],
-        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=1000),
+        SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=1000),
     ),
     "non_finite_iterate": (
         IcpInstance(A=[[-1e300]], b=[0.0], f=ZeroMap()),
         [1e10],
-        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=10),
+        SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=10),
     ),
     "affine_1d": (AFFINE_1D, [0.0], SolverConfig(omega=DiagonalScaling(np.array([0.25])), resid_tol=1e-10)),
 }
@@ -234,11 +246,7 @@ def test_default_scaling_follows_diagonal():
 
 
 def test_solver_config_validation():
-    omega = DiagonalScaling.identity(2)
-    with pytest.raises(ValueError):
-        SolverConfig(omega=omega, relaxation=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(omega=omega, relaxation=2.5)
+    omega = DiagonalScaling(np.ones(2))
     with pytest.raises(ValueError):
         SolverConfig(omega=omega, max_iters=0)
     with pytest.raises(ValueError):
@@ -249,18 +257,18 @@ def test_solver_config_validation():
 def test_solver_config_rejects_an_iteration_cap_that_is_not_an_integer(value):
     # int() would truncate 2.5 to 2 and quietly stop one iteration early.
     with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
-        SolverConfig(omega=DiagonalScaling.identity(1), max_iters=value)
+        SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=value)
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint16(3)])
 def test_solver_config_takes_python_and_numpy_integers(value):
-    cfg = SolverConfig(omega=DiagonalScaling.identity(1), max_iters=value)
+    cfg = SolverConfig(omega=DiagonalScaling(np.ones(1)), max_iters=value)
     assert cfg.max_iters == 3 and type(cfg.max_iters) is int
 
 
 def test_dimension_checks():
     inst = IcpInstance(A=np.eye(2), b=np.zeros(2))
     with pytest.raises(ValueError):
-        projection_iterate(inst, np.zeros(3), SolverConfig(omega=DiagonalScaling.identity(2)))
+        projection_iterate(inst, np.zeros(3), SolverConfig(omega=DiagonalScaling(np.ones(2))))
     with pytest.raises(ValueError):
-        projection_iterate(inst, np.zeros(2), SolverConfig(omega=DiagonalScaling.identity(3)))
+        projection_iterate(inst, np.zeros(2), SolverConfig(omega=DiagonalScaling(np.ones(3))))
