@@ -18,7 +18,8 @@ Instance files and result rows are read and written by ``icpkit.formats``.
 
 ``verify`` writes one ResultRow per (instance, formulation, point) as CSV or
 JSON; the Rbar row reports the worst scaled-residual norm over the drawn
-scaling pairs.  A residual that is not finite fails.  An instance with
+scaling pairs.  A residual that is not finite fails, and so does a planted
+point that the oracle refutes (see oracle.match).  An instance with
 n > 16 is beyond the oracle: its rows are written, but it fails with an
 "oracle unavailable" line (exit 1).
 """
@@ -40,7 +41,7 @@ from .core import IcpInstance, ToleranceConfig, evaluate_F, evaluate_H, is_solut
 from .formats import LoadedInstance, ResultRow, json_float, load_instance, save_instance, write_rows
 from .generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, RNG_STREAM_ID, generate_planted
 from .linalg import DiagonalScaling, as_count, as_real
-from .oracle import enumerate_solutions
+from .oracle import enumerate_solutions, match
 from .residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from .solver import SolveStatus, SolverConfig, default_scaling, projection_iterate
 
@@ -76,9 +77,14 @@ def _collect_points(
     if unit.planted is not None:
         points.append(("planted", unit.planted, None))
     try:
-        points += [("oracle", sol, None) for sol in enumerate_solutions(inst).solutions]
+        result = enumerate_solutions(inst)
     except ValueError as exc:
         failures.append(f"{unit.instance_id}: oracle unavailable ({exc})")
+    else:
+        points += [("oracle", sol, None) for sol in result.solutions]
+        # A plant that the oracle refutes fails; an undecided miss does not.
+        if unit.planted is not None and match(result, unit.planted) is False:
+            failures.append(f"{unit.instance_id}/planted: not among the {len(result.solutions)} oracle solutions")
     if points:
         # The planted point, else the first oracle solution, is perturbed.
         base = points[0][1]
@@ -103,6 +109,7 @@ def run_verification(
     """Evaluate every formulation on every unit; rows come back in input order."""
     rows: list[ResultRow] = []
     failures: list[str] = []
+    tolerances = ToleranceConfig(feas_tol=tol, comp_tol=tol)
     for index, unit in enumerate(units):
         inst = unit.instance
         points, unit_failures = _collect_points(unit, with_solver)
@@ -121,7 +128,7 @@ def run_verification(
         natural = natural_residual(inst, stack)
         norm = np.max(np.abs(natural), axis=1)
         forms = [("R", norm, (time.perf_counter() - start) * ms_per_point)]
-        solution = is_solution(inst, stack, ToleranceConfig(feas_tol=tol, comp_tol=tol))
+        solution = is_solution(inst, stack, tolerances)
         # One evaluation roundoff of the delta formulation bounds how large |R|
         # can be where G is exactly zero; like max(), fmax skips a nan scale.
         h_scale = np.max(np.abs(evaluate_H(inst, stack)), axis=1)
@@ -174,8 +181,10 @@ def run_verification(
                  f"R is exactly zero but G:{name} is not", g_norm),
                 ((g_norm == 0.0) & above_roundoff, f"G:{name} is exactly zero but |R| = {{:.3e}}", norm),
             ]
+        # nan fails none of the comparisons above, and inf not all of them.
+        checks += [(~np.isfinite(norms), f"{formulation} residual is not finite", norms)
+                   for formulation, norms, _ in forms]
 
-        first = len(rows)
         for k, (source, _, iters) in enumerate(points):
             label = f"{unit.instance_id}/{source}"
             failures += [f"{label}: {text.format(value[k])}" for fails, text, value in checks if fails[k]]
@@ -183,12 +192,6 @@ def run_verification(
                 ResultRow(unit.instance_id, inst.n, formulation, source, float(norms[k]), bool(solution[k]), iters, ms)
                 for formulation, norms, ms in forms
             ]
-        # nan fails none of the comparisons above, and inf not all of them.
-        failures += [
-            f"{row.instance_id}/{row.point_source}: {row.formulation} residual is not finite"
-            for row in rows[first:]
-            if not math.isfinite(row.residual_inf)
-        ]
     return rows, failures
 
 

@@ -22,10 +22,15 @@ column has a clearly negative entry is dropped (see _Z_MARGIN); r = P (z + d)
 is rebuilt for the others, which reach check_solution as one batch.  A pivot
 that grows the tableau past what the tolerances allow sends its subtree to
 the full n x n path (see _ROUNDING_SHARE), which runs whole when I - C is
-singular or ill-conditioned; only that path counts singular_skipped.  Both
-paths' candidates go through check_solution, the one solution test, and the
-two agree within DEDUP_RADIUS: the same solutions in order, with the same
-flags.
+singular or ill-conditioned.  It first scales each row of I - C and of A,
+with its right-hand side, to one magnitude by a power of two, which keeps
+every solution, so its pivot test calls a subsystem singular only when it
+is so after that scaling.  Both paths' candidates go through check_solution,
+the one solution test, and the two agree within DEDUP_RADIUS: the same
+solutions in order, with the same flags.  singular_skipped counts the
+subsystems left undecided: the singular ones, and those whose candidate
+fails check_solution only in the entries its index set makes zero, by
+rounding that on rows of large magnitude exceeds the absolute tolerances.
 
 The dedup (_merge) sorts the candidates' scalar keys w.x once.  A candidate
 alone in its key window is settled at once; the others are compared in the
@@ -88,8 +93,11 @@ class OracleResult:
 
     degenerate_flags[k] is True when solution k sits on a complementarity
     boundary (some component has both |H_i| and |F_i| below TIGHT_TOL) or was
-    reached from more than one index set.  singular_skipped counts subsystems
-    abandoned because elimination hit a near-zero pivot.
+    reached from more than one index set.  singular_skipped counts the
+    subsystems left undecided: those abandoned because elimination hit a
+    near-zero pivot after each row was scaled to one magnitude, and those
+    whose candidate fails the solution test only by the rounding of the
+    entries its index set makes zero.
     """
 
     solutions: list[np.ndarray]
@@ -173,18 +181,38 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     return p, m, q, share / unit
 
 
+def _scale_rows(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of m, with its entry of v, times the power of two that puts the row's largest |entry| in [0.5, 1).
+
+    A row whose v entry would overflow takes the largest power of two that
+    keeps it finite instead.  A positive row scaling keeps the solutions of
+    every system built from these rows, and a power of two changes no bit
+    unless an entry underflows.
+    """
+    e = np.frexp(np.abs(m).max(axis=1))[1]
+    e = np.maximum(e, np.where(v == 0.0, e, np.frexp(v)[1] - 1024))
+    return np.ldexp(m, -e[:, None]), np.ldexp(v, -e)
+
+
 def _full_batches(inst: IcpInstance, ic: np.ndarray, d: np.ndarray, ids: np.ndarray):
     """(ids, points, singular count) per chunk of the index sets ids, each solved as its n x n subsystem.
 
     points holds the non-singular systems' solutions, in the order of ids.
+    The rows of I - C and of A are first scaled by _scale_rows, so that the
+    pivot test, which compares each pivot with the largest entry of its
+    system, judges the subsystem and not the spread of its rows' magnitudes.
     """
+    if not len(ids):
+        return
+    ic, d = _scale_rows(ic, d)
+    a, neg_b = _scale_rows(inst.A, -inst.b)
     bit = 1 << np.arange(inst.n)
     for lo in range(0, len(ids), _CHUNK):
         chunk = ids[lo : lo + _CHUNK]
         # active[s, i]: index set s forces H_i = 0 (row from I - C), else F_i = 0.
         active = (chunk[:, None] & bit) != 0
-        mats = np.where(active[:, :, None], ic[None, :, :], inst.A[None, :, :])
-        rhs = np.where(active, d[None, :], -inst.b[None, :])
+        mats = np.where(active[:, :, None], ic[None, :, :], a[None, :, :])
+        rhs = np.where(active, d[None, :], neg_b[None, :])
         points, singular = solve_linear_batch(mats, rhs)
         yield chunk[~singular], points[~singular], int(singular.sum())
 
@@ -289,15 +317,26 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
         batches = _tree_batches(inst, ic, d, *reduction)
 
     singular_skipped = 0
+    bit = 1 << np.arange(n)
     found_ids, found_points, found_tight = [], [], []
     for ids, points, skipped in batches:
-        singular_skipped += skipped
-        good = np.all(np.isfinite(points), axis=1)
-        ids, points = ids[good], points[good]
         # check_solution's rows match its single-point calls bit for bit, so
-        # every reported solution passes it verbatim.
+        # every reported solution passes it verbatim.  It rejects every row
+        # that is not finite, since such a row's H is not finite either.
         check = check_solution(inst, points, ORACLE_TOL)
         ok = check.ok
+        singular_skipped += skipped
+        # Index set s makes H_i = 0 where bit i is set and F_i = 0 elsewhere,
+        # so in exact arithmetic those entries pass every test.  A finite
+        # candidate whose other entries pass fails only by the rounding of
+        # its zeroed entries, which on rows of large magnitude can exceed the
+        # absolute tolerances: its subsystem is undecided, not refuted.
+        if not ok.all():
+            fail = ~ok
+            h, f = check.h[fail], check.f[fail]
+            free = np.where((ids[fail, None] & bit) != 0, f, h)
+            undecided = np.isfinite(h) & np.isfinite(f) & (free >= -ORACLE_TOL.feas_tol)
+            singular_skipped += int(np.count_nonzero(np.all(undecided, axis=1)))
         found_ids.append(ids[ok])
         found_points.append(points[ok])
         found_tight.append(np.any((np.abs(check.h[ok]) <= TIGHT_TOL) & (np.abs(check.f[ok]) <= TIGHT_TOL), axis=1))
@@ -314,24 +353,30 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
     )
 
 
-def certify(inst: IcpInstance, r: np.ndarray) -> bool:
-    """True iff r lies within DEDUP_RADIUS (inf-norm) of an enumerated solution.
+def match(result: OracleResult, r: np.ndarray) -> bool | None:
+    """True if r lies within DEDUP_RADIUS (inf-norm) of one of result's solutions, else False, or None if undecided.
 
-    A solution whose subsystems are all singular is never enumerated, so a
-    miss refutes r only when no subsystem was skipped; otherwise the answer
-    is undecided and certify raises ValueError.
+    A solution whose subsystems were all skipped is never enumerated, so a
+    miss refutes r only when result skipped no subsystem; otherwise it is
+    undecided.
     """
+    # A non-finite r is never within DEDUP_RADIUS: its distances are nan or inf.
+    sols = np.reshape(result.solutions, (-1, len(r)))
+    if np.any(np.max(np.abs(sols - r), axis=1) <= DEDUP_RADIUS):
+        return True
+    return None if result.singular_skipped else False
+
+
+def certify(inst: IcpInstance, r: np.ndarray) -> bool:
+    """match(enumerate_solutions(inst), r), raising ValueError when the answer is undecided."""
     r = np.asarray(r, dtype=float)
     if r.shape != (inst.n,):
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, point shape {r.shape}")
     result = enumerate_solutions(inst)
-    # A non-finite r is never within DEDUP_RADIUS: its distances are nan or inf.
-    sols = np.reshape(result.solutions, (-1, inst.n))
-    if np.any(np.max(np.abs(sols - r), axis=1) <= DEDUP_RADIUS):
-        return True
-    if result.singular_skipped:
+    found = match(result, r)
+    if found is None:
         raise ValueError(
             f"undecided: r matches no enumerated solution, but {result.singular_skipped} "
-            "singular subsystems were skipped"
+            "subsystems were skipped"
         )
-    return False
+    return found

@@ -16,7 +16,7 @@ from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, Ze
 from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance, write_rows
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
-from icpkit.oracle import enumerate_solutions
+from icpkit.oracle import OracleResult, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from icpkit.solver import SolverConfig, projection_iterate
 
@@ -331,8 +331,9 @@ def test_verify_flags_corrupted_planted(tmp_path):
 
 
 def test_verify_reports_the_failures_of_a_point_in_check_order(tmp_path, capsys):
-    # Every entry of the planted point is off by 0.5, so the point fails each
-    # check on a solution: first R, then each scaling pair, then each delta.
+    # Every entry of the planted point is off by 0.5, so the oracle, which
+    # skipped no subsystem, misses it first; then the point fails each check
+    # on a solution: first R, then each scaling pair, then each delta.
     path = tmp_path / "bad.json"
     assert main(["gen", "--n", "4", "--seed", "5", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
@@ -340,6 +341,7 @@ def test_verify_reports_the_failures_of_a_point_in_check_order(tmp_path, capsys)
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--out-path", str(tmp_path / "rows.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [
+        "FAIL bad/planted: not among the 1 oracle solutions",
         "FAIL bad/planted: expected a solution, is_solution is false",
         "FAIL bad/planted: |R| = 9.700e-01 exceeds 1.0e-10",
         "FAIL bad/planted: scaled residual 4.360e+02 too large",
@@ -349,7 +351,7 @@ def test_verify_reports_the_failures_of_a_point_in_check_order(tmp_path, capsys)
         "FAIL bad/planted: delta residual (cubic) 1.009e+01 too large",
         "FAIL bad/planted: delta residual (tanh) 1.295e+00 too large",
         "FAIL bad/planted: delta residual (asinh) 1.616e+00 too large",
-        "9 equivalence check(s) failed",
+        "10 equivalence check(s) failed",
     ]
 
 
@@ -384,6 +386,38 @@ def test_verify_reports_each_residual_disagreement(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"FAIL eye/{line}", "1 equivalence check(s) failed"]
+
+
+@pytest.mark.parametrize("skipped, code, err", [
+    (0, 1, ["FAIL eye/planted: not among the 0 oracle solutions", "1 equivalence check(s) failed"]),
+    # After a skipped subsystem the miss is undecided, so nothing fails.
+    (3, 0, []),
+])
+def test_verify_fails_a_plant_that_the_oracle_misses(skipped, code, err, tmp_path, monkeypatch, capsys):
+    # A = I, b = -1, f = 0 is solved by its plant (1, 1), which the oracle
+    # here reports missing.
+    path = tmp_path / "eye.json"
+    save_instance(str(path), IcpInstance(A=np.eye(2), b=-np.ones(2), f=ZeroMap()), planted=np.ones(2))
+    monkeypatch.setattr(cli, "enumerate_solutions", lambda inst: OracleResult([], [], skipped, 4))
+    assert main(["verify", str(path), "--out-path", str(tmp_path / "rows.csv")]) == code
+    assert capsys.readouterr().err.splitlines() == err
+
+
+def test_verify_passes_a_plant_that_the_oracle_misses_by_rounding(tmp_path, capsys):
+    # Rows of A and b are 2^-43, 2^24 and 2^39 times small integers, and the
+    # plant (-28, 18, 62) solves the instance with exact H and F.  The
+    # oracle's candidate for it fails the 1e-9 tolerances by rounding alone
+    # (F_2 = -3.9e-3), so the miss is undecided and nothing fails.
+    scale = np.ldexp(1.0, [-43, 24, 39])
+    inst = IcpInstance(
+        A=np.array([[-2.0, 1, 1], [-1, -2, 2], [-1, 2, -1]]) * scale[:, None],
+        b=np.array([-1.0, 1, -2]) * scale,
+        f=AffineMap(np.array([[1, -1, -1], [0, 1, 1], [1, 0, 1]]) / 4, np.array([-1.0, -2, 0])),
+    )
+    path = tmp_path / "scaled.json"
+    save_instance(str(path), inst, planted=np.array([-28.0, 18, 62]))
+    assert main(["verify", str(path), "--out-path", str(tmp_path / "rows.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_handles_instances_without_planted(tmp_path):
@@ -771,17 +805,19 @@ def test_oracle_near_the_largest_float_prints_no_warnings(tmp_path):
 
 
 def test_oracle_on_overflowing_data_reports_no_solution_without_warnings(tmp_path, capsys):
-    # q = A P d + b overflows, so the full path runs.  The two systems that
-    # take row 0 from A have scale 1e200, so their second pivot, 1, counts as
-    # singular.  The other two give r_0 = 1e200, whose F_0 overflows, so
-    # check_solution rejects them: no solution, exit code 3.
+    # q = A P d + b overflows, so the full path runs.  Its row scaling brings
+    # row 0 of A, 1e200, down to one magnitude with row 1, so no system is
+    # singular.  The two that take row 0 from A give r_0 = 0, where
+    # H_0 = -1e200.  The other two give r_0 = 1e200, whose F_0 overflows.
+    # check_solution rejects all four, and none is undecided, since each has
+    # an entry below -1e-9 or one that is not finite: no solution, exit 3.
     p = tmp_path / "overflow.json"
     p.write_text('{"n": 2, "A": [1e200, 0, 0, 1], "b": [0, 1], "f": {"type": "affine", "C": [0, 0, 0, 0], "d": [1e200, 0]}}')
     assert main(["oracle", str(p)]) == 3
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["solutions"] == []
-    assert report["singular_skipped"] == 2
+    assert report["singular_skipped"] == 0
     assert captured.err == ""
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icpkit.oracle as oracle
-from icpkit.core import AffineMap, IcpInstance, ZeroMap, is_solution
+from icpkit.core import AffineMap, IcpInstance, ToleranceConfig, ZeroMap, check_solution, is_solution
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
 from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _merge, certify, enumerate_solutions
@@ -97,6 +97,119 @@ def test_singular_subsystems_are_counted_not_fatal():
     result = enumerate_solutions(inst)
     assert result.singular_skipped == 3
     assert [s.tolist() for s in result.solutions] == [[0.0, 0.0]]
+
+
+ALTERNATING = np.array([1.0, 1e13, 1.0, 1e13, 1.0, 1e13])
+TINY, HUGE_X = 1.5 * 2.0**-996, 1.75 * 2.0**1023
+
+
+# Each instance has f = 0 and one solution, in which every entry of H and F
+# is exact, and its full path solves subsystems whose rows differ in
+# magnitude by 1e12 or more: A = s I, b = (-s, s) has (1, 0), from row 0 of A
+# and row 1 of I, and A = diag(s), b = -s has r = 1.  Once each row is scaled
+# to one magnitude, their pivot tests pass.  In the last, row 0 of A is
+# (TINY, TINY), so scaling it to [0.5, 1) would take b_0 past the largest
+# float; it is scaled less, and still solved.
+@pytest.mark.parametrize(
+    "a, b, solution",
+    [(s * np.eye(2), [-s, s], [1.0, 0.0]) for s in (1e12, 1e13, 1e300)]
+    + [(np.diag(ALTERNATING), -ALTERNATING, [1.0] * 6)]
+    + [([[TINY, TINY], [0.0, 1.0]], [-2.0 * TINY * HUGE_X, -HUGE_X], [HUGE_X, HUGE_X])],
+    ids=["1e12", "1e13", "1e300", "alternating", "b_near_overflow"],
+)
+def test_full_path_solves_subsystems_whose_rows_differ_in_magnitude(a, b, solution):
+    inst = IcpInstance(A=a, b=b, f=ZeroMap())
+    assert not takes_tree(inst)
+    result = enumerate_solutions(inst)
+    assert [x.tolist() for x in result.solutions] == [solution]
+    assert result.singular_skipped == 0
+    assert certify(inst, np.array(solution))
+
+
+def row_scaled(a, b, e, c4, d):
+    """IcpInstance with rows i of A and b times 2^e[i], and f = (c4 / 4) r + d."""
+    s = np.ldexp(1.0, e)
+    return IcpInstance(A=np.array(a, float) * s[:, None], b=np.array(b, float) * s, f=AffineMap(np.array(c4) / 4, d))
+
+
+# Two instances of the next test's sweep.  Each has a solution r with integer
+# entries, at which every entry of H and F is exact, and the full path solves
+# r's subsystem.  Its candidate carries one rounding in an entry that the
+# subsystem sets to zero, and rows of magnitude 2^25 and 2^39 lift that past
+# the 1e-9 tolerances: F_2 = -3.9e-3 in the first, |H_1 F_1| = 1.7e-4 in the
+# second.  The miss is rounding, so the answer at r is undecided, not False.
+@pytest.mark.parametrize(
+    "inst, r",
+    [
+        (row_scaled([[-2, 1, 1], [-1, -2, 2], [-1, 2, -1]], [-1, 1, -2], [-43, 24, 39],
+                    [[1, -1, -1], [0, 1, 1], [1, 0, 1]], [-1.0, -2.0, 0.0]), [-28.0, 18.0, 62.0]),
+        (row_scaled([[-1, 0, 0, 2], [-2, -1, 0, 2], [0, 1, 2, 1], [2, 2, -1, 0]], [-1, 0, -2, 1], [-24, 30, 20, -15],
+                    [[0, 1, 0, -1], [-1, 0, 0, 1], [-1, -1, 1, 1], [1, -1, 0, 1]], [1.0, 0.0, 0.0, 0.0]),
+         [-7.0, 13.0, 13.0, 45.0]),
+    ],
+    ids=["sign", "complementarity"],
+)
+def test_a_candidate_that_fails_by_rounding_alone_is_undecided(inst, r):
+    r = np.array(r)
+    assert not takes_tree(inst)
+    assert is_solution(inst, r, ORACLE_TOL)
+    result = enumerate_solutions(inst)
+    assert result.singular_skipped > 0
+    assert oracle.match(result, r) is None
+    assert certify_answer(inst, r) == "undecided"
+
+
+@pytest.mark.parametrize("per_row", [True, False], ids=["per_row", "per_instance"])
+def test_certify_refutes_no_exact_solution_of_row_scaled_data(per_row):
+    # 400 instances, n = 1-4: A and b with entries in {-2, ..., 2}, every
+    # second one with f = C r + d (C in {-1, 0, 1} / 4, d in {-2, ..., 2}),
+    # each row of A and b times 2^k, k in -45..45 drawn per row or once per
+    # instance.  At every exact solution that passes is_solution, certify
+    # answers True or undecided, and mostly True.
+    rng = np.random.default_rng(7)
+    answers = []
+    for k in range(400):
+        n = int(rng.integers(1, 5))
+        a = rng.integers(-2, 3, (n, n))
+        b = rng.integers(-2, 3, n)
+        e = rng.integers(-45, 46, n) if per_row else np.full(n, rng.integers(-45, 46))
+        c4, d = (rng.integers(-1, 2, (n, n)), rng.integers(-2, 3, n).astype(float)) if k % 2 else (np.zeros((n, n)), np.zeros(n))
+        inst = row_scaled(a, b, e, c4, d)
+        for x in exact_enumeration(inst)[0]:
+            r = np.array(x, dtype=float)
+            if is_solution(inst, r, ORACLE_TOL):
+                answers.append(certify_answer(inst, r))
+                assert answers[-1] is not False, (k, inst, r)
+    assert answers.count("undecided") <= len(answers) // 20
+    assert len(answers) > 300
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_check_solution_fails_exactly_the_rows_that_are_not_finite(n):
+    # enumerate_solutions hands every candidate to check_solution unfiltered:
+    # an entry r_j that is not finite makes H_j not finite, and such an H_j
+    # fails some test at any finite tolerance.  Each stack repeats a solution
+    # r of a random zero-map or affine instance, with one entry of some rows
+    # set to inf, -inf or nan.
+    rng = np.random.default_rng([n, 29])
+    for k in range(40):
+        a = rng.uniform(-2.0, 2.0, (n, n))
+        active = rng.random(n) < 0.5
+        h = np.where(active, 0.0, rng.uniform(0.1, 2.0, n))
+        w = np.where(active, rng.uniform(0.1, 2.0, n), 0.0)
+        if k % 2:
+            c, r = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-2.0, 2.0, n)
+            f = AffineMap(c, r - c @ r - h)
+        else:
+            f, r = ZeroMap(), h
+        inst = IcpInstance(A=a, b=w - a @ r, f=f)
+        stack = np.tile(r, (12, 1))
+        bad = rng.random(12) < 0.5
+        rows = np.flatnonzero(bad)
+        stack[rows, rng.integers(n, size=len(rows))] = rng.choice([np.inf, -np.inf, np.nan], len(rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tol in (ORACLE_TOL, ToleranceConfig(feas_tol=1e300, comp_tol=1e300)):
+                assert np.array_equal(check_solution(inst, stack, tol).ok, ~bad), (k, tol)
 
 
 @pytest.mark.parametrize("seed", range(12))
