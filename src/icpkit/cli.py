@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -200,14 +200,7 @@ def run_verification(
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        n=args.n,
-        seed=args.seed,
-        matrix_family=args.matrix_family,
-        f_family=args.f_family,
-        gamma=args.gamma,
-        active_fraction=args.active_fraction,
-    )
+    return GeneratorSpec(**{field.name: getattr(args, field.name) for field in fields(GeneratorSpec)})
 
 
 def cmd_gen(args) -> int:
@@ -310,14 +303,10 @@ def cmd_verify(args) -> int:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=4, help="instance dimension")
     parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    parser.add_argument(
-        "--matrix-family",
-        default="diag_dominant",
-        choices=MATRIX_FAMILIES,
-    )
-    parser.add_argument("--f-family", default="zero", choices=F_FAMILIES)
-    parser.add_argument("--gamma", type=float, default=0.5, help="inf-norm bound for the affine part")
-    parser.add_argument("--active-fraction", type=float, default=0.5)
+    parser.add_argument("--matrix-family", default=GeneratorSpec.matrix_family, choices=MATRIX_FAMILIES)
+    parser.add_argument("--f-family", default=GeneratorSpec.f_family, choices=F_FAMILIES)
+    parser.add_argument("--gamma", type=float, default=GeneratorSpec.gamma, help="inf-norm bound for the affine part")
+    parser.add_argument("--active-fraction", type=float, default=GeneratorSpec.active_fraction)
 
 
 @functools.cache
@@ -336,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the projection solver on an instance file")
     p_solve.add_argument("path")
     p_solve.add_argument("--omega", default="jacobi", help="the step's positive diagonal: 'jacobi', 'identity' or a scalar")
-    p_solve.add_argument("--max-iters", type=int, default=10_000)
-    p_solve.add_argument("--tol", type=float, default=1e-8)
+    p_solve.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.resid_tol)
     p_solve.add_argument("--start", default="zero", help="'zero' or comma-separated entries")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -350,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--gen", type=int, default=0, metavar="COUNT", help="also verify COUNT generated instances")
     _add_spec_flags(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-10, help="solution-point residual tolerance")
-    p_verify.add_argument("--deltas", default="identity,cubic,tanh,asinh")
+    p_verify.add_argument("--deltas", default=",".join(DELTA_CATALOG))
     p_verify.add_argument("--scalings", type=int, default=3, help="random scaling pairs per instance")
     p_verify.add_argument("--solver", action="store_true", help="also report the solver end point")
     p_verify.add_argument("--out", default="csv", choices=("csv", "json"))

@@ -33,17 +33,18 @@ RNG_STREAM_ID = "numpy-pcg64"
 class GeneratorSpec:
     """Deterministic recipe for one planted instance.
 
-    gamma bounds the infinity norm of the affine part C (ignored for the zero
-    family); active_fraction is the fraction of indices with H_i(r*) = 0.
-    The active set has round(active_fraction * n) indices, and Python rounds
-    a tie to the even integer: at 0.5, n = 1, 3, 5, 7 give 0, 2, 2, 4.
+    gamma, 0.5 by default, bounds the infinity norm of the affine part C
+    (ignored for the zero family); active_fraction is the fraction of
+    indices with H_i(r*) = 0.  The active set has round(active_fraction * n)
+    indices, and Python rounds a tie to the even integer: at 0.5,
+    n = 1, 3, 5, 7 give 0, 2, 2, 4.
     """
 
     n: int
     seed: int
     matrix_family: str = "diag_dominant"
     f_family: str = "zero"
-    gamma: float = 0.0
+    gamma: float = 0.5
     active_fraction: float = 0.5
 
     def __post_init__(self):

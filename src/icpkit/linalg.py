@@ -97,13 +97,13 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     # w[r, c, s] is entry (r, c) of system s's augmented matrix [A | b].
     w = np.empty((n, n + 1, m))
     w[:, :n], w[:, n] = a.transpose(1, 2, 0), b.T
-    # Per step and system: whether the pivot is small (singular), and the pivot or 1.0 if so.
-    pivots, small = np.empty((n, m)), np.empty((n, m), dtype=bool)
+    singular = np.zeros(m, dtype=bool)
 
     for k in range(n):
         mag = np.abs(w[k:, k])
         p = k + mag.argmax(axis=0)
-        small[k] = mag.max(axis=0) <= thresh
+        small = mag.max(axis=0) <= thresh
+        singular |= small
 
         moved = np.flatnonzero(p != k)
         if moved.size:
@@ -111,8 +111,9 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
             # Columns left of k are never read again, in either row.
             w[k, k:, moved], w[pm, k:, moved] = w[pm, k:, moved], w[k, k:, moved]
 
-        pivots[k] = np.where(small[k], 1.0, w[k, k])
-        factor = w[k + 1 :, k] / pivots[k]
+        # The pivot, or 1.0 where it is small, stays on the diagonal for back-substitution.
+        w[k, k, small] = 1.0
+        factor = w[k + 1 :, k] / w[k, k]
         # Column k below the pivot is not updated: nothing reads it again.
         w[k + 1 :, k + 1 :] -= factor[:, None] * w[k, k + 1 :]
 
@@ -122,8 +123,8 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     x = np.zeros((m, n))
     for k in range(n - 1, -1, -1):
         tail = np.multiply(w[k, k + 1 : n].T, x[:, k + 1 :], order="C").sum(axis=1)
-        x[:, k] = (w[k, n] - tail) / pivots[k]
-    return x, small.any(axis=0)
+        x[:, k] = (w[k, n] - tail) / w[k, k]
+    return x, singular
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,3 @@ class DiagonalScaling:
         if not np.all(d > 0.0):
             raise ValueError("diagonal scaling entries must be strictly positive")
         object.__setattr__(self, "diag", d)
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]

@@ -60,15 +60,17 @@ _CHUNK = 512
 # filter sees carry rounding of about n eps max(||I - C||, ||A||) ||P|| |z + d|
 # (inf-norms).  It runs only while that estimate, with s = max(|d|, |q|, 1)
 # standing in for |z + d|, times s again for the other factor of H_i F_i,
-# stays below this share of the oracle tolerances (||P|| up to about 3e4 for
-# O(1) data at n = 16).  Its pivots round too, about n eps g per entry, g the
-# largest entry on the path, so no node may pass g_max = share / (n eps s).
+# stays below this share of the oracle tolerances, _ROUNDING_BOUND (||P|| up to
+# about 3e4 for O(1) data at n = 16).  Its pivots round too, about n eps g per
+# entry, g the largest entry on the path, so no node may pass
+# g_max = _ROUNDING_BOUND / (n eps s).
 # Pivoting on p, with |c| and |r| the largest entries of its column and row,
 # bounds the child by g + |c| |r| / |p|, and the dropped pivot row and column
 # by |r| / |p|, |c| / |p| and 1 / |p|; g + max(|c|, 1) max(|r|, 1) / |p| bounds
 # all four.  So the floor under |p| rises with g, and a singular block fails
 # it even when its pivot row is 0.
 _ROUNDING_SHARE = 0.1
+_ROUNDING_BOUND = _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
 # The tree drops a leaf whose last column, z on Sbar and w on S, has an entry
 # below -(feas_tol + margin): check_solution would reject it anyway, since
 # H(r) = z and F(r) = w in exact arithmetic.  The rebuilt H differs from z by
@@ -76,11 +78,11 @@ _ROUNDING_SHARE = 0.1
 # r = P (z + d) and of (I - C) r - d, each within a small multiple of
 # beta (|z| + |d|), beta = n eps max(||I - C||, ||A||) ||P||; the rebuilt F
 # differs from w = A P (z + d) + b by the same kind of term.  The tableau's own
-# rounding stays under share / s (see _ROUNDING_SHARE).  _reduction admits only
-# beta s^2 <= _ROUNDING_SHARE min(tolerances) with s >= 1, so beta <= 1e-10;
-# the margin is a hundred times that bound times 1 + |last column| + |d|, per
-# leaf (inf-norms), which is at least 1 + |z| + |d|.
-_Z_MARGIN = 100 * _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
+# rounding stays under _ROUNDING_BOUND / s (see _ROUNDING_SHARE).  _reduction
+# admits only beta s^2 <= _ROUNDING_BOUND with s >= 1, so beta <= 1e-10; the
+# margin is a hundred times that bound times 1 + |last column| + |d|, per leaf
+# (inf-norms), which is at least 1 + |z| + |d|.
+_Z_MARGIN = 100 * _ROUNDING_BOUND
 # A tree batch halves before a level whose tableaux would pass this many
 # bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
 # peaked higher), and it sizes the tree's two level buffers and its scratch.
@@ -174,11 +176,10 @@ def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
     # In Python floats, huge |d| or |q| takes the estimate to inf without a warning.
     norms = [float(np.abs(a).sum(axis=1).max()) for a in (ic, inst.A, p)]
     s = float(max(np.abs(d).max(), np.abs(q).max(), 1.0))
-    share = _ROUNDING_SHARE * min(ORACLE_TOL.feas_tol, ORACLE_TOL.comp_tol)
     unit = n * float(np.finfo(float).eps) * s
-    if unit * max(norms[0], norms[1]) * norms[2] * s > share:
+    if unit * max(norms[0], norms[1]) * norms[2] * s > _ROUNDING_BOUND:
         return None
-    return p, m, q, share / unit
+    return p, m, q, _ROUNDING_BOUND / unit
 
 
 def _scale_rows(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

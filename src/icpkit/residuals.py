@@ -53,9 +53,6 @@ class DeltaFunction:
         if not np.all(np.diff(values) > 0.0):
             raise ValueError(f"delta function {self.name!r} is not strictly increasing on the test grid")
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.forward(t)
-
 
 DELTA_CATALOG: dict[str, DeltaFunction] = {
     delta.name: delta
@@ -80,8 +77,9 @@ def scaled_residual(
     omega2: DiagonalScaling,
 ) -> np.ndarray:
     """min(O1_ii H_i, O2_ii F_i) per component; same zero set as natural_residual."""
-    if omega1.n != inst.n or omega2.n != inst.n:
-        raise ValueError(f"dimension mismatch: instance dim {inst.n}, scaling dims {omega1.n} and {omega2.n}")
+    n1, n2 = len(omega1.diag), len(omega2.diag)
+    if n1 != inst.n or n2 != inst.n:
+        raise ValueError(f"dimension mismatch: instance dim {inst.n}, scaling dims {n1} and {n2}")
     return np.minimum(omega1.diag * evaluate_H(inst, r), omega2.diag * evaluate_F(inst, r))
 
 
@@ -94,4 +92,4 @@ def delta_residual(inst: IcpInstance, r: np.ndarray, delta: DeltaFunction) -> np
     """
     h = evaluate_H(inst, r)
     f = evaluate_F(inst, r)
-    return delta(np.abs(f - h)) - delta(f) - delta(h)
+    return delta.forward(np.abs(f - h)) - delta.forward(f) - delta.forward(h)

@@ -92,10 +92,10 @@ def projection_iterate(inst: IcpInstance, r0: np.ndarray, cfg: SolverConfig) -> 
     r = np.array(r0, dtype=float, copy=True)
     if r.shape != (inst.n,):
         raise ValueError(f"dimension mismatch: instance dim {inst.n}, start shape {r.shape}")
-    if cfg.omega.n != inst.n:
-        raise ValueError(f"dimension mismatch: instance dim {inst.n}, omega dim {cfg.omega.n}")
-
     step = cfg.omega.diag
+    if len(step) != inst.n:
+        raise ValueError(f"dimension mismatch: instance dim {inst.n}, omega dim {len(step)}")
+
     history: list[float] = []
     # Overflow during a blow-up is expected and handled by the guard below.
     with np.errstate(over="ignore", invalid="ignore"):

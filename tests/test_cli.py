@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from icpkit.core import AffineMap, IcpInstance, ImplicitMap, ToleranceConfig, Ze
 from icpkit.formats import RESULT_COLUMNS, LoadedInstance, ResultRow, load_instance, save_instance, write_rows
 from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generate_planted
 from icpkit.linalg import DiagonalScaling
-from icpkit.oracle import OracleResult, enumerate_solutions
+from icpkit.oracle import OracleResult, enumerate_solutions, match
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
 from icpkit.solver import SolverConfig, projection_iterate
 
@@ -420,6 +421,28 @@ def test_verify_passes_a_plant_that_the_oracle_misses_by_rounding(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
+def test_verify_verdict_on_a_plant_inside_rounding(tmp_path, capsys):
+    # A = 0, b = 1e-13, f = 0, planted 2000: H F = 2e-10 fails comp_tol, and
+    # |R| = 1e-13, yet G:identity and G:cubic are exactly 0.  No "is exactly
+    # zero" line fires, since above_roundoff's bound 4 eps max(1, |H|, |F|)
+    # = 1.8e-12 excuses it; and no plant line, since the F = 0 subsystem
+    # 0 r = -1e-13 is singular, so the oracle's miss is undecided.
+    path, out = tmp_path / "n1.json", tmp_path / "rows.json"
+    path.write_text('{"n": 1, "A": [0], "b": [1e-13], "f": {"type": "zero"}, "planted": [2000]}')
+    assert main(["verify", str(path), "--out", "json", "--out-path", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL n1/planted: expected a solution, is_solution is false",
+        *["FAIL n1/perturbed: non-solution with |R| = 1.000e-13 <= 1.0e-10"] * 3,
+        "4 equivalence check(s) failed",
+    ]
+    planted = {row["formulation"]: row["residual_inf"] for row in json.loads(out.read_text())
+               if row["point_source"] == "planted"}
+    assert (planted["R"], planted["G:identity"], planted["G:cubic"]) == (1e-13, 0.0, 0.0)
+    result = enumerate_solutions(load_instance(str(path)).instance)
+    assert result.singular_skipped == 1
+    assert match(result, np.array([2000.0])) is None
+
+
 def test_verify_handles_instances_without_planted(tmp_path):
     # No planted vector: oracle solutions anchor the campaign instead.
     p = tmp_path / "bare.json"
@@ -583,6 +606,32 @@ def test_verify_beyond_oracle_cap_fails_but_writes_rows(tmp_path, capsys):
 def rows_without_wall_ms(path):
     with open(path, newline="") as fh:
         return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
+
+
+def subcommand_defaults(command, *required):
+    """The defaults that build_parser gives the flags of one subcommand."""
+    return vars(build_parser().parse_args([command, *required]))
+
+
+def test_cli_defaults_are_the_librarys(tmp_path):
+    spec_fields = fields(GeneratorSpec)
+    for command, required in (("gen", ["--out", "x.json"]), ("verify", [])):
+        defaults = subcommand_defaults(command, *required)
+        assert {field.name for field in spec_fields} <= defaults.keys(), command
+        for field in spec_fields:
+            if field.default is not MISSING:
+                assert defaults[field.name] == field.default, (command, field.name)
+    solve = subcommand_defaults("solve", "inst.json")
+    assert (solve["max_iters"], solve["tol"]) == (SolverConfig.max_iters, SolverConfig.resid_tol)
+    assert subcommand_defaults("verify")["deltas"].split(",") == list(DELTA_CATALOG)
+
+    inst, _, _ = generate_planted(GeneratorSpec(n=4, seed=1, f_family="contractive_affine"))
+    assert np.any(inst.f.C != 0.0)
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    argv = ["gen", "--n", "4", "--seed", "1", "--f-family", "contractive_affine", "--out"]
+    assert main(argv + [str(default)]) == 0
+    assert main(argv + [str(explicit), "--gamma", "0.5"]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
 
 
 def test_parser_is_built_once_per_process():
