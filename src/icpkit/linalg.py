@@ -101,18 +101,19 @@ def solve_linear_batch(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
 
     for k in range(n):
         mag = np.abs(w[k:, k])
-        p = k + mag.argmax(axis=0)
+        p = mag.argmax(axis=0)  # relative to row k
         small = mag.max(axis=0) <= thresh
-        singular |= small
 
-        moved = np.flatnonzero(p != k)
+        moved = p.nonzero()[0]
         if moved.size:
-            pm = p[moved]
+            pm = p[moved] + k
             # Columns left of k are never read again, in either row.
             w[k, k:, moved], w[pm, k:, moved] = w[pm, k:, moved], w[k, k:, moved]
 
         # The pivot, or 1.0 where it is small, stays on the diagonal for back-substitution.
-        w[k, k, small] = 1.0
+        if small.any():
+            singular |= small
+            w[k, k, small] = 1.0
         factor = w[k + 1 :, k] / w[k, k]
         # Column k below the pivot is not updated: nothing reads it again.
         w[k + 1 :, k + 1 :] -= factor[:, None] * w[k, k + 1 :]

@@ -87,6 +87,19 @@ _Z_MARGIN = 100 * _ROUNDING_BOUND
 # bytes, so levels stay in cache (at n = 16, 128 KiB ran slower, 512 KiB
 # peaked higher), and it sizes the tree's two level buffers and its scratch.
 _LEVEL_BYTES = 1 << 18
+# _merge's key weights at dimension n are the first n: random weights in
+# [1, 2] keep the points of integer grids, such as {0, 1}^n, from sharing keys.
+# They are np.random.default_rng(0).uniform(1.0, 2.0, ORACLE_N_CAP), written
+# out so that importing the oracle does not import numpy.random (about 15 ms
+# of every CLI start).  A stream's first n draws do not depend on how many
+# follow, so the first n are what that generator draws for n weights.
+_KEY_WEIGHTS = np.array([float.fromhex(x) for x in (
+    "0x1.a30febcfd9c28p+0", "0x1.4510bdf882d9dp+0", "0x1.0a7d3da94ecdep+0", "0x1.043b27b61342fp+0",
+    "0x1.d0327a782cde5p+0", "0x1.e9aa5979a6402p+0", "0x1.9b4c7b7180edbp+0", "0x1.bac0495ff882ap+0",
+    "0x1.8b2b01e7a1dc8p+0", "0x1.ef60e8078f56cp+0", "0x1.d0dbc74d47003p+0", "0x1.00b37868abbe9p+0",
+    "0x1.db7ed8bf64e6fp+0", "0x1.089910738de79p+0", "0x1.bacab307c3cfdp+0", "0x1.2cf7c449d8b92p+0",
+)])
+_KEY_WEIGHTS.setflags(write=False)
 
 
 @dataclass
@@ -118,9 +131,7 @@ def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], lis
     window of the key w.x, w > 0 fixed, are compared.
     """
     n = points.shape[1]
-    # Random weights in [1, 2] keep the points of integer grids, such as
-    # {0, 1}^n, from sharing keys.
-    w = np.random.default_rng(0).uniform(1.0, 2.0, n)
+    w = _KEY_WEIGHTS[:n]
     width = float(w.sum()) * DEDUP_RADIUS
     t = points @ w
     # Points within DEDUP_RADIUS of x have exact keys at most width from w.x.
@@ -154,7 +165,9 @@ def _merge(points: np.ndarray, tight: list[bool]) -> tuple[list[np.ndarray], lis
                 taken[j] = False
                 continue
         insort(shared, (tj, j))
-    return list(points[taken]), list(compress(flags, taken))
+    if all(taken):
+        return list(points), flags
+    return list(points[np.array(taken)]), list(compress(flags, taken))
 
 
 def _reduction(inst: IcpInstance, ic: np.ndarray, d: np.ndarray):
@@ -325,7 +338,7 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
         # every reported solution passes it verbatim.  It rejects every row
         # that is not finite, since such a row's H is not finite either.
         check = check_solution(inst, points, ORACLE_TOL)
-        ok = check.ok
+        ok, h, f = check.ok, check.h, check.f
         singular_skipped += skipped
         # Index set s makes H_i = 0 where bit i is set and F_i = 0 elsewhere,
         # so in exact arithmetic those entries pass every test.  A finite
@@ -334,13 +347,14 @@ def enumerate_solutions(inst: IcpInstance) -> OracleResult:
         # absolute tolerances: its subsystem is undecided, not refuted.
         if not ok.all():
             fail = ~ok
-            h, f = check.h[fail], check.f[fail]
-            free = np.where((ids[fail, None] & bit) != 0, f, h)
-            undecided = np.isfinite(h) & np.isfinite(f) & (free >= -ORACLE_TOL.feas_tol)
+            h_fail, f_fail = h[fail], f[fail]
+            free = np.where((ids[fail, None] & bit) != 0, f_fail, h_fail)
+            undecided = np.isfinite(h_fail) & np.isfinite(f_fail) & (free >= -ORACLE_TOL.feas_tol)
             singular_skipped += int(np.count_nonzero(np.all(undecided, axis=1)))
-        found_ids.append(ids[ok])
-        found_points.append(points[ok])
-        found_tight.append(np.any((np.abs(check.h[ok]) <= TIGHT_TOL) & (np.abs(check.f[ok]) <= TIGHT_TOL), axis=1))
+            ids, points, h, f = ids[ok], points[ok], h[ok], f[ok]
+        found_ids.append(ids)
+        found_points.append(points)
+        found_tight.append(np.any((np.abs(h) <= TIGHT_TOL) & (np.abs(f) <= TIGHT_TOL), axis=1))
 
     # Candidates in index-set order, whichever order the chunks visited.
     order = np.argsort(np.concatenate(found_ids), kind="stable")

@@ -189,3 +189,24 @@ def exact_enumeration(inst: IcpInstance) -> tuple[list[list[Fraction]], int, lis
             solutions.append(x)
             tight.append(any(hi == fi == 0 for hi, fi in zip(h, f)))
     return solutions, singular, tight
+
+
+def small_integer_instances(n):
+    """60 instances with A, b in {-1, 0, 1}, half affine, then 120 affine ones with identity rows in C."""
+    # Half the first 60 are affine, with C in {-1, 0, 1} / 4 and d in
+    # {-2, ..., 2}.  In the other 120, each row of C is the identity row
+    # e_i with probability 0.4, and at least one is, so I - C is singular.
+    rng = np.random.default_rng([n, 2024])
+    for k in range(60):
+        a = rng.integers(-1, 2, (n, n)).astype(float)
+        b = rng.integers(-1, 2, n).astype(float)
+        f = AffineMap(rng.integers(-1, 2, (n, n)) / 4, rng.integers(-2, 3, n).astype(float)) if k % 2 else ZeroMap()
+        yield IcpInstance(A=a, b=b, f=f)
+    for _ in range(120):
+        a = rng.integers(-1, 2, (n, n)).astype(float)
+        b = rng.integers(-1, 2, n).astype(float)
+        c = rng.integers(-1, 2, (n, n)) / 4
+        identity = rng.random(n) < 0.4
+        identity[rng.integers(n)] = True
+        c[identity] = np.eye(n)[identity]
+        yield IcpInstance(A=a, b=b, f=AffineMap(c, rng.integers(-2, 3, n).astype(float)))

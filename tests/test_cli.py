@@ -58,6 +58,19 @@ def gen_args(path, seed=7, n=4, f_family="contractive_affine", active=0.5):
     ]
 
 
+def test_cli_start_does_not_import_numpy_random():
+    # Importing numpy.random takes about 15 ms, which every CLI start would
+    # pay where numpy itself does not import it (numpy 2); the generator
+    # draws only when called, and the oracle writes its dedup key weights out
+    # instead of drawing them at import.
+    code = (
+        "import sys, numpy; before = set(sys.modules); import icpkit.__main__; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "[]\n"
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(gen_args(a)) == 0

@@ -73,7 +73,7 @@ def test_solve_linear_batch_flags_singular_rows_only():
 
 # Around the oracle's 512-system chunk, the batch size solve_linear_batch sees.
 BATCH_SIZES = (1, 511, 512, 513, 1027)
-BATCH_KINDS = ("uniform", "ties", "singular", "near_singular", "oracle", "wide")
+BATCH_KINDS = ("uniform", "ties", "singular", "near_singular", "oracle", "broadcast", "wide")
 
 
 def make_batch(kind: str, n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +107,10 @@ def make_batch(kind: str, n: int, m: int, rng: np.random.Generator) -> tuple[np.
         ic = np.eye(n) - rng.uniform(-0.5, 0.5, (n, n))
         active = rng.integers(0, 2, (m, n)).astype(bool)
         mats = np.where(active[:, :, None], ic[None], a[None])
+    elif kind == "broadcast":
+        # One I - C read-only with stride 0 for every system, as the oracle
+        # passes it to solve for P = (I - C)^-1.
+        mats = np.broadcast_to(np.eye(n) - rng.uniform(-0.5, 0.5, (n, n)), (m, n, n))
     else:
         # Magnitudes from 1e-300 to 1e300: elimination overflows to inf and nan.
         mats = rng.choice([-1.0, 1.0], (m, n, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (m, n, n))

@@ -1,3 +1,4 @@
+import json
 import pickle
 import sys
 import tracemalloc
@@ -13,7 +14,9 @@ from icpkit.generator import F_FAMILIES, MATRIX_FAMILIES, GeneratorSpec, generat
 from icpkit.linalg import DiagonalScaling
 from icpkit.oracle import DEDUP_RADIUS, ORACLE_TOL, _merge, certify, enumerate_solutions
 from icpkit.residuals import DELTA_CATALOG, delta_residual, natural_residual, scaled_residual
-from support import diag_dominant, exact_enumeration
+from oracle_fingerprint import PATH as FINGERPRINT
+from oracle_fingerprint import instances as fingerprint_instances
+from support import diag_dominant, exact_enumeration, small_integer_instances
 
 
 def test_unique_solution_of_two_dimensional_lcp():
@@ -303,9 +306,13 @@ def greedy_merge(solutions, points, tight):
 # solutions, which must merge into the lower one; a line far from the
 # origin, whose computed keys rise in steps of one ulp, wider than the window
 # would be without its rounding term; and repeated points whose keys w.x
-# overflow to inf and -inf, which only an unbounded window finds.
+# overflow to inf and -inf, which only an unbounded window finds.  Then
+# points compared but each more than R from the others, so that none merges;
+# and points all within R of the first, so that every later one merges.
 LINE = [np.array([5e8, k * R]) for k in range(120)]
 HUGE = [np.array([1.79e308, -1.79e308]), np.array([-1.79e308, 1.0])] * 2
+APART = [np.zeros(2), np.full(2, 1.5 * R), np.full(2, 3.0 * R), np.array([4.5 * R, 0.0])]
+TOGETHER = [np.zeros(2), np.full(2, 0.5 * R), np.full(2, -R), np.zeros(2), np.array([R, -0.25 * R])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,6 +321,8 @@ HUGE = [np.array([1.79e308, -1.79e308]), np.array([-1.79e308, 1.0])] * 2
 @example((1, [np.zeros(1), np.full(1, 2 * R), np.full(1, R)]), [False] * 130)
 @example((2, LINE), [False] * 130)
 @example((2, HUGE), [False] * 130)
+@example((2, APART), [True, False] * 65)
+@example((2, TOGETHER), [False, True] * 65)
 def test_merge_matches_greedy_first_match(case, tight):
     # A point can lie within DEDUP_RADIUS of several solutions and must merge
     # into the lowest-indexed one.  The fillers lie far from each other and
@@ -329,6 +338,16 @@ def test_merge_matches_greedy_first_match(case, tight):
         expected, expected_flags = greedy_merge(fillers, points, tight)
     assert np.array(solutions).tobytes() == expected.tobytes()
     assert flags == expected_flags
+
+
+def test_merge_key_weights_are_read_only_generator_draws():
+    # Every _merge call slices its weights from one module constant, which no
+    # call may write to; its first n entries are what a generator seeded with
+    # 0 draws for n weights, at every n the oracle takes.
+    weights = oracle._KEY_WEIGHTS
+    assert not weights.flags.writeable
+    for n in range(1, oracle.ORACLE_N_CAP + 1):
+        assert weights[:n].tobytes() == np.random.default_rng(0).uniform(1.0, 2.0, n).tobytes()
 
 
 def count_oracle_lines(budget):
@@ -497,27 +516,6 @@ def assert_tree_matches_full_path(inst):
         assert certify_answer(inst, r) == on_full_path(certify_answer, inst, r)
 
 
-def small_integer_instances(n):
-    """60 instances with A, b in {-1, 0, 1}, half affine, then 120 affine ones with identity rows in C."""
-    # Half the first 60 are affine, with C in {-1, 0, 1} / 4 and d in
-    # {-2, ..., 2}.  In the other 120, each row of C is the identity row
-    # e_i with probability 0.4, and at least one is, so I - C is singular.
-    rng = np.random.default_rng([n, 2024])
-    for k in range(60):
-        a = rng.integers(-1, 2, (n, n)).astype(float)
-        b = rng.integers(-1, 2, n).astype(float)
-        f = AffineMap(rng.integers(-1, 2, (n, n)) / 4, rng.integers(-2, 3, n).astype(float)) if k % 2 else ZeroMap()
-        yield IcpInstance(A=a, b=b, f=f)
-    for _ in range(120):
-        a = rng.integers(-1, 2, (n, n)).astype(float)
-        b = rng.integers(-1, 2, n).astype(float)
-        c = rng.integers(-1, 2, (n, n)) / 4
-        identity = rng.random(n) < 0.4
-        identity[rng.integers(n)] = True
-        c[identity] = np.eye(n)[identity]
-        yield IcpInstance(A=a, b=b, f=AffineMap(c, rng.integers(-2, 3, n).astype(float)))
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_oracle_matches_exact_enumeration_on_small_integer_instances(n):
     # Entries in {-1, 0, 1} make many subsystems exactly singular, and many
@@ -536,6 +534,30 @@ def test_oracle_matches_exact_enumeration_on_small_integer_instances(n):
         for x, y in zip(result.solutions, exact):
             assert np.max(np.abs(x - np.array(y, dtype=float))) <= DEDUP_RADIUS, (k, inst)
         assert result.degenerate_flags == tight, (k, inst)
+
+
+# oracle_fingerprint.json holds every bit of the results on one host, but CI
+# runs other numpy versions and BLAS builds, which may sum the products A P
+# and P (z + d) in another order.  Each entry of a solution then moves by a
+# few units in the last place of its largest term, so the floats match within
+# FINGERPRINT_ULPS spacings of max(|r|_inf, 1); flags, counts and the order
+# of the solutions match exactly.
+FINGERPRINT_ULPS = 8
+
+
+def test_oracle_results_match_the_fingerprint():
+    rows = json.loads(FINGERPRINT.read_text())
+    cases = list(fingerprint_instances())
+    assert [label for label, _ in cases] == [row["instance"] for row in rows]
+    for (label, inst), row in zip(cases, rows):
+        result = enumerate_solutions(inst)
+        counts = result.degenerate_flags, result.singular_skipped, result.subsets_tested
+        assert counts == (row["flags"], row["singular_skipped"], row["subsets_tested"]), label
+        want = np.reshape([[float.fromhex(row["values"][i]) for i in sol] for sol in row["solutions"]], (-1, inst.n))
+        got = np.reshape(result.solutions, (-1, inst.n))
+        assert got.shape == want.shape, label
+        ulp = np.spacing(np.abs(want).max(axis=1, initial=1.0))
+        assert np.all(np.abs(got - want) <= FINGERPRINT_ULPS * ulp[:, None]), label
 
 
 # At n = 1 the root batch is the last level.  At n = 13 the tree halves its
